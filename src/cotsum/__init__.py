@@ -9,8 +9,9 @@ counting toolkit (generalized totients over rational ranges) that the
 distribution of the three values rests on.
 
 Modules:
-    exact         fractional parts, boundary counts (all Fraction arithmetic)
-    core          evaluation, classification, congruence witnesses
+    exact         fractional parts, boundary counts (Fraction arithmetic)
+    core          evaluation and classification through one integer kernel,
+                  congruence witnesses
     numeric       float oracle with compensated summation
     totient       coprime counts and sums over rational ranges
     distribution  per-modulus sweeps of the value distribution
@@ -31,7 +32,7 @@ from .core import (
 )
 from .distribution import SweepReport, closed_form_counts, sweep, sweep_range
 from .errors import PreconditionError
-from .exact import BoundaryCount, Fraction, boundary_count, frac_part, shifted_frac_part
+from .exact import BoundaryCount, boundary_count, frac_part, shifted_frac_part
 from .numeric import (
     NumericResult,
     agrees,
@@ -69,7 +70,6 @@ __all__ = [
     "CheckResult",
     "CotSumValue",
     "CotTag",
-    "Fraction",
     "MasterWitness",
     "NumericResult",
     "PhiApproximation",

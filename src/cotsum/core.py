@@ -11,9 +11,19 @@ Writing x_j = {j*n*a/b}, the value is
 
     0                          if b | n*a,
     (3*b/4) * (1 - 2*x_1)      if b | 3*n*a but b does not divide n*a,
-    (b/2) * (x_3 - 3*x_1 + 1)  otherwise,
+    (b/2) * (x_3 - 3*x_1 + 1)  otherwise.
 
-which this module computes with Fraction arithmetic only.
+With r = n*a mod b and r3 = 3*r mod b that is the integer quotient
+
+    3*(b - 2*r) / 4            if r3 = 0 (and r != 0),
+    (r3 - 3*r + b) / 2         otherwise,
+
+so S is always an integer over 1, 2 or 4. One private integer kernel
+computes that (numerator, denominator) pair, and one private tag rule reads
+the three-way tag off it by comparing 2*numerator with 0 and with
++-b*denominator. `eval_exact` and `classify` build their `Fraction` once,
+from the kernel's pair, at the API edge; `distribution.sweep` tallies tags
+from the same kernel and rule without building one.
 
 For n = 1, gcd(a, b) = 1 and b != 3 the value is forced into {0, +b/2, -b/2},
 and which of the three happens is decided by where the unique witness
@@ -103,21 +113,44 @@ class MasterWitness:
             raise ValueError(f"witness books do not balance: {lhs} != {rhs}")
 
 
+# classify's tags in the order of the tag rule's indices
+_TAGS = (CotTag.ZERO, CotTag.PLUS_HALF_B, CotTag.MINUS_HALF_B, CotTag.OTHER)
+
+
+def _kernel(na: int, b: int) -> tuple[int, int]:
+    """S as (numerator, denominator) over plain ints, denominator in {1, 2, 4}.
+
+    S(n, a, b) depends on n and a only through na = n*a. The pair is not
+    reduced; Fraction reduces it at the edge.
+    """
+    r = na % b
+    if r == 0:
+        return 0, 1
+    r3 = 3 * r % b  # = 3*na mod b
+    if r3 == 0:
+        # x_3 degenerates; the sine sum for it drops out entirely
+        return 3 * (b - 2 * r), 4
+    return r3 - 3 * r + b, 2
+
+
+def _tag(num: int, den: int, b: int) -> int:
+    """Index into _TAGS of the value num/den: 0, +b/2, -b/2 or anything else."""
+    twice = 2 * num
+    if twice == 0:
+        return 0
+    if twice == b * den:
+        return 1
+    if twice == -b * den:
+        return 2
+    return 3
+
+
 def eval_exact(n: int, a: int, b: int) -> Fraction:
     """S(n, a, b) as an exact rational, by the fractional-part case split."""
     check_positive("n", n)
     check_positive("a", a)
     check_modulus(b)
-    na = n * a
-    r = na % b
-    if r == 0:
-        return Fraction(0)
-    if (3 * na) % b == 0:
-        # x_3 degenerates; the sine sum for it drops out entirely
-        return Fraction(3 * b, 4) * (1 - 2 * Fraction(r, b))
-    x1 = Fraction(r, b)
-    x3 = Fraction(3 * na % b, b)
-    return Fraction(b, 2) * (x3 - 3 * x1 + 1)
+    return Fraction(*_kernel(n * a, b))
 
 
 def classify(a: int, b: int, strict: bool = False) -> CotSumValue:
@@ -135,17 +168,8 @@ def classify(a: int, b: int, strict: bool = False) -> CotSumValue:
         g = math.gcd(a, b)
         if g != 1:
             raise PreconditionError(f"gcd(a, b) = {g}; classification needs gcd(a, b) = 1")
-    value = eval_exact(1, a, b)
-    half = Fraction(b, 2)
-    if value == 0:
-        tag = CotTag.ZERO
-    elif value == half:
-        tag = CotTag.PLUS_HALF_B
-    elif value == -half:
-        tag = CotTag.MINUS_HALF_B
-    else:
-        tag = CotTag.OTHER
-    return CotSumValue(tag=tag, exact=value)
+    num, den = _kernel(a, b)
+    return CotSumValue(tag=_TAGS[_tag(num, den, b)], exact=Fraction(num, den))
 
 
 def master_witness(a: int, b: int) -> MasterWitness:

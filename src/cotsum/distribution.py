@@ -7,9 +7,13 @@ contiguous run of the a-line:
     0     for a in [ceil((b+1)/3), floor((2b-1)/3)]
     -b/2  for a in [ceil((2b+1)/3), b-1]
 
-(the gaps at a = b/3 and a = 2b/3 are never coprime to b). A sweep tallies
-observed tags against the phi-counts of those three intervals and reports
-whether they match.
+(the gaps at a = b/3 and a = 2b/3 are never coprime to b). The closed forms
+are the coprime counts of those three intervals, each an inclusion-exclusion
+count over the squarefree divisors of b (`phi_range_mobius`). A sweep
+evaluates S(1, a, b) for every coprime a by the integer kernel of `core`,
+tallies the observed tags against the closed forms and reports whether they
+match. The two sides share no code path: one scans residues with gcd, the
+other never looks at a single residue.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import CotTag, classify
+from .core import _kernel, _tag
 from .errors import PreconditionError
 from .exact import check_modulus
-from .totient import RangeBound, euler_phi, phi_range_direct
+from .totient import RangeBound, euler_phi, phi_range_mobius
 
 __all__ = ["SweepReport", "closed_form_counts", "sweep", "sweep_range"]
 
@@ -50,7 +54,7 @@ class SweepReport:
 def _interval_phi(b: int, lo: int, hi: int) -> int:
     if lo > hi:
         return 0
-    return phi_range_direct(b, RangeBound(lo, hi))
+    return phi_range_mobius(b, RangeBound(lo, hi))
 
 
 def closed_form_counts(b: int) -> tuple[int, int, int]:
@@ -69,12 +73,12 @@ def sweep(b: int) -> SweepReport:
     check_modulus(b)
     if b == 3:
         raise PreconditionError("b = 3 has no three-way split to sweep")
-    counts = {CotTag.ZERO: 0, CotTag.PLUS_HALF_B: 0, CotTag.MINUS_HALF_B: 0, CotTag.OTHER: 0}
+    counts = [0, 0, 0, 0]  # indexed by core._tag: zero, plus, minus, other
     for a in range(1, b):
         if gcd(a, b) == 1:
-            counts[classify(a, b).tag] += 1
+            counts[_tag(*_kernel(a, b), b)] += 1
     zero, plus, minus = closed_form_counts(b)
-    observed = (counts[CotTag.ZERO], counts[CotTag.PLUS_HALF_B], counts[CotTag.MINUS_HALF_B])
+    observed = (counts[0], counts[1], counts[2])
     # a stray OTHER tag cannot hide: the closed forms partition phi(b), so any
     # OTHER leaves the observed triple short of them
     consistent = observed == (zero, plus, minus)

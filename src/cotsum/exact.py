@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Fraction",
     "BoundaryCount",
     "frac_part",
     "boundary_count",

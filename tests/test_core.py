@@ -33,6 +33,19 @@ SPOT_VALUES = {
 }
 
 
+def oracle_eval(n, a, b):
+    """The fractional-part case split in Fraction arithmetic, kept as an oracle."""
+    na = n * a
+    r = na % b
+    if r == 0:
+        return Fraction(0)
+    if (3 * na) % b == 0:
+        return Fraction(3 * b, 4) * (1 - 2 * Fraction(r, b))
+    x1 = Fraction(r, b)
+    x3 = Fraction(3 * na % b, b)
+    return Fraction(b, 2) * (x3 - 3 * x1 + 1)
+
+
 @pytest.mark.parametrize("args,want", sorted(SPOT_VALUES.items()))
 def test_eval_exact_spot_values(args, want):
     assert eval_exact(*args) == want
@@ -109,6 +122,10 @@ def test_classify_permissive_returns_other_for_b3():
     v = classify(1, 3)
     assert v.tag is CotTag.OTHER
     assert v.exact == Fraction(3, 4)
+    for a in range(1, 30):
+        v = classify(a, 3)
+        assert v.tag is (CotTag.ZERO if a % 3 == 0 else CotTag.OTHER)
+        assert v.exact == oracle_eval(1, a, 3)
 
 
 def test_classify_strict_rejects_bad_inputs():
@@ -255,3 +272,39 @@ def test_eval_exact_depends_only_on_na_mod_b(n, a, b):
         assert eval_exact(n, a, b) == 0
     else:
         assert eval_exact(n, a, b) == eval_exact(1, r, b)
+
+
+def test_eval_exact_matches_fraction_oracle_exhaustive():
+    for b in range(2, 61):
+        for a in range(1, 3 * b + 1):
+            for n in (1, 2, 3):
+                assert eval_exact(n, a, b) == oracle_eval(n, a, b), (n, a, b)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 10**12), a=st.integers(1, 10**12), b=st.integers(2, 10**5))
+def test_eval_exact_matches_fraction_oracle_large(n, a, b):
+    assert eval_exact(n, a, b) == oracle_eval(n, a, b)
+
+
+def test_exact_values_are_fractions():
+    for args in [(1, 1, 2), (1, 1, 3), (1, 1, 4), (2, 3, 7), (1, 2, 6)]:
+        assert type(eval_exact(*args)) is Fraction
+        assert type(classify(*args[1:]).exact) is Fraction
+    assert type(master_witness(1, 4).s) is Fraction
+
+
+def test_classify_non_coprime():
+    # S(1, g*a', g*b') = g * S(1, a', b'), so a non-coprime a is tagged Other
+    # exactly when the reduced modulus b' = b/gcd(a, b) is 3
+    assert classify(2, 6).tag is CotTag.OTHER
+    assert classify(4, 6).tag is CotTag.OTHER
+    assert classify(10, 15).tag is CotTag.OTHER
+    for b in range(2, 80):
+        for a in range(1, b):
+            g = gcd(a, b)
+            if g == 1:
+                continue
+            v = classify(a, b)
+            assert (v.tag is CotTag.OTHER) == (b // g == 3), (a, b)
+            assert v.exact == oracle_eval(1, a, b)

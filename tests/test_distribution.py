@@ -4,7 +4,7 @@ import pytest
 
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
 from cotsum.errors import PreconditionError
-from cotsum.totient import euler_phi
+from cotsum.totient import RangeBound, euler_phi, phi_range_direct
 
 
 @pytest.mark.parametrize(
@@ -61,9 +61,24 @@ def test_sweep_range_rejects_empty_or_bad():
 
 
 def test_sweep_range_parallel_matches_serial():
-    serial = sweep_range(2, 40)
-    parallel = sweep_range(2, 40, workers=2)
+    serial = sweep_range(2, 200)
+    parallel = sweep_range(2, 200, workers=2)
     assert serial == parallel
+
+
+def test_closed_form_counts_match_gcd_scan():
+    def scan(b, lo, hi):
+        return phi_range_direct(b, RangeBound(lo, hi)) if lo <= hi else 0
+
+    for b in range(2, 301):
+        if b == 3:
+            continue
+        want = (
+            scan(b, (b + 3) // 3, (2 * b - 1) // 3),
+            scan(b, 1, (b - 1) // 3),
+            scan(b, (2 * b + 3) // 3, b - 1),
+        )
+        assert closed_form_counts(b) == want, b
 
 
 def test_sweep_report_rejects_wrong_flag():
