@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .exact import boundary_count, check_modulus, check_positive
+from .exact import _boundary_value, check_modulus, check_positive
 
 __all__ = [
     "CotTag",
@@ -107,10 +107,10 @@ class MasterWitness:
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.b - 2:
             raise ValueError(f"witness k={self.k} outside [0, {self.b - 2}]")
-        lhs = (3 * self.nu + 2) * self.b
-        rhs = (3 * self.a + self.k + 1) + 3 * self.e1k + 2 * self.s
-        if lhs != rhs:
-            raise ValueError(f"witness books do not balance: {lhs} != {rhs}")
+        # 2*s must equal the integer rest; cross-multiplied, so no Fraction
+        rest = (3 * self.nu + 2) * self.b - (3 * self.a + self.k + 1) - 3 * self.e1k
+        if rest * self.s.denominator != 2 * self.s.numerator:
+            raise ValueError(f"witness books do not balance: 2*s = {2 * self.s}, the rest is {rest}")
 
 
 # classify's tags in the order of the tag rule's indices
@@ -186,7 +186,7 @@ def master_witness(a: int, b: int) -> MasterWitness:
         raise PreconditionError(f"no witness k: {b} divides 3*{a}")
     k = (-3 * a - 1) % b  # lands in [0, b-2] exactly because b does not divide 3a
     nu = (a + k) // b
-    e1k = boundary_count(1, a, b, k).value
+    e1k = _boundary_value(a, b, k)  # E(1, k), the boundary count of (a, a + k]
     s = Fraction((3 * nu + 2) * b - (3 * a + k + 1) - 3 * e1k, 2)
     return MasterWitness(a=a, b=b, k=k, nu=nu, e1k=e1k, s=s)
 

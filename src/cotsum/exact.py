@@ -26,12 +26,12 @@ __all__ = [
 
 
 def check_modulus(b: int) -> None:
-    if not isinstance(b, int) or b < 2:
+    if isinstance(b, bool) or not isinstance(b, int) or b < 2:
         raise ValueError(f"modulus b must be an integer >= 2, got {b!r}")
 
 
 def check_positive(name: str, value: int) -> None:
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -80,9 +80,12 @@ def boundary_count(n: int, a: int, b: int, k: int) -> BoundaryCount:
     check_modulus(b)
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"window length k must be a non-negative integer, got {k!r}")
-    na = n * a
-    value = b * ((na + k) // b - na // b)
-    return BoundaryCount(n=n, a=a, b=b, k=k, value=value)
+    return BoundaryCount(n=n, a=a, b=b, k=k, value=_boundary_value(n * a, b, k))
+
+
+def _boundary_value(na: int, b: int, k: int) -> int:
+    """b * (floor((na + k)/b) - floor(na/b)) on plain ints, unchecked."""
+    return b * ((na + k) // b - na // b)
 
 
 def shifted_frac_part(n: int, a: int, b: int, k: int) -> Fraction:

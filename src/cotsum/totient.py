@@ -9,6 +9,12 @@ Three independent routes are provided so they can cross-check each other:
   phi_decomposition  prefix counts: phi(n,[1,hi]) - phi(n,[1,lo]) + [gcd(n,lo)=1]
                      with each prefix via legendre_phi
 
+phi_range_mobius, its half-open variant, phi_approx and the gcd partition all
+count through one private inclusion-exclusion kernel on plain ints, and build
+a Fraction only where one is returned. phi_range_direct and legendre_phi stay
+off that kernel: they are the independent routes the others are checked
+against.
+
 On top of those: the main-term approximation with its explicit 2 * 2^omega(n)
 error bound, a divisor-level partition of a range by gcd, and the paired sum
 of coprime residues over a symmetric range.
@@ -51,12 +57,8 @@ RationalLike = int | str | Fraction
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-
-
-def _ceil_ratio(num: int, den: int) -> int:
-    return -((-num) // den)
 
 
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -167,31 +169,49 @@ def spf_sieve(limit: int) -> list[int]:
     return spf
 
 
+def _endpoint(value: RationalLike) -> Fraction:
+    # bool is an int and float converts to its binary expansion; both would
+    # silently stand for a different range than the caller wrote
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(
+            f"range endpoint must be an int, str or Fraction, got {type(value).__name__} {value!r}"
+        )
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class RangeBound:
-    """Closed rational interval [lo, hi], lo <= hi."""
+    """Closed rational interval [lo, hi], lo <= hi.
+
+    Endpoints may be given as int, str or Fraction (float and bool are
+    refused) and are stored as Fraction.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"bounds out of order: {self.lo} > {self.hi}")
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction):
+            lo = _endpoint(lo)
+            object.__setattr__(self, "lo", lo)
+        if not isinstance(hi, Fraction):
+            hi = _endpoint(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"bounds out of order: {lo} > {hi}")
 
     def integer_span(self) -> tuple[int, int]:
         """(ceil(lo), floor(hi)); first > second means no integers inside."""
-        lo_n, lo_d = self.lo.numerator, self.lo.denominator
-        hi_n, hi_d = self.hi.numerator, self.hi.denominator
-        return _ceil_ratio(lo_n, lo_d), hi_n // hi_d
+        lo, hi = self.lo, self.hi
+        return -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
 
     def width(self) -> Fraction:
         return self.hi - self.lo
 
 
 def _check_positive_range(bounds: RangeBound) -> None:
-    if bounds.lo <= 0:
+    if bounds.lo.numerator <= 0:
         raise ValueError(f"range must sit inside the positive reals, got lo = {bounds.lo}")
 
 
@@ -204,6 +224,20 @@ def phi_range_direct(n: int, bounds: RangeBound) -> int:
     return sum(1 for k in range(lo, hi + 1) if gcd(n, k) == 1)
 
 
+def _mobius_count(n: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int, plus: int) -> int:
+    """sum over squarefree d | n of mu(d) * (floor(hi/d) - ceil(lo/d) + plus).
+
+    The inclusion-exclusion kernel behind every Mobius-route count, on plain
+    ints: lo = lo_num/lo_den and hi = hi_num/hi_den need not be reduced, and
+    ceil(x/y) is -((-x) // y). plus is 1 for the closed-range count and 0 for
+    the pinned half-open variant.
+    """
+    total = 0
+    for d, mu in arithmetic_profile(n).squarefree_divisors:
+        total += mu * (hi_num // (hi_den * d) + (-lo_num) // (lo_den * d) + plus)
+    return total
+
+
 def phi_range_mobius(n: int, bounds: RangeBound) -> int:
     """Inclusion-exclusion count; every arithmetic step is on plain ints.
 
@@ -213,12 +247,8 @@ def phi_range_mobius(n: int, bounds: RangeBound) -> int:
     """
     _check_n(n)
     _check_positive_range(bounds)
-    lo_n, lo_d = bounds.lo.numerator, bounds.lo.denominator
-    hi_n, hi_d = bounds.hi.numerator, bounds.hi.denominator
-    total = 0
-    for d, mu in arithmetic_profile(n).squarefree_divisors:
-        total += mu * (hi_n // (hi_d * d) - _ceil_ratio(lo_n, lo_d * d) + 1)
-    return total
+    lo, hi = bounds.lo, bounds.hi
+    return _mobius_count(n, lo.numerator, lo.denominator, hi.numerator, hi.denominator, 1)
 
 
 def phi_range_mobius_half_open(n: int, bounds: RangeBound) -> int:
@@ -230,12 +260,8 @@ def phi_range_mobius_half_open(n: int, bounds: RangeBound) -> int:
     """
     _check_n(n)
     _check_positive_range(bounds)
-    lo_n, lo_d = bounds.lo.numerator, bounds.lo.denominator
-    hi_n, hi_d = bounds.hi.numerator, bounds.hi.denominator
-    total = 0
-    for d, mu in arithmetic_profile(n).squarefree_divisors:
-        total += mu * (hi_n // (hi_d * d) - _ceil_ratio(lo_n, lo_d * d))
-    return total
+    lo, hi = bounds.lo, bounds.hi
+    return _mobius_count(n, lo.numerator, lo.denominator, hi.numerator, hi.denominator, 0)
 
 
 def legendre_phi(n: int, x: RationalLike) -> int:
@@ -286,7 +312,13 @@ def phi_decomposition(n: int, lo: int, hi: int) -> PhiDecomposition:
 
 
 def _check_int_range(lo: int, hi: int) -> None:
-    if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1:
+    if (
+        isinstance(lo, bool)
+        or isinstance(hi, bool)
+        or not isinstance(lo, int)
+        or not isinstance(hi, int)
+        or lo < 1
+    ):
         raise ValueError(f"need integer bounds with 1 <= lo <= hi, got {lo!r}, {hi!r}")
     if lo > hi:
         raise ValueError(f"bounds out of order: {lo} > {hi}")
@@ -311,9 +343,13 @@ class PhiApproximation:
     bound: int
 
     def __post_init__(self) -> None:
-        if self.error != self.exact - self.estimate:
+        # both checks cross-multiply numerators and denominators, so no
+        # Fraction is built: error == exact - estimate and |error| <= bound
+        est, err = self.estimate, self.error
+        exact_minus_est = self.exact * est.denominator - est.numerator  # over est.denominator
+        if err.numerator * est.denominator != exact_minus_est * err.denominator:
             raise ValueError("error field must equal exact - estimate")
-        if abs(self.error) > self.bound:
+        if abs(err.numerator) > self.bound * err.denominator:
             raise ValueError(
                 f"error {self.error} exceeds bound {self.bound} for n={self.n}, [{self.lo}, {self.hi}]"
             )
@@ -326,15 +362,16 @@ def phi_approx(n: int, lo: int, hi: int) -> PhiApproximation:
     _check_int_range(lo, hi)
     profile = arithmetic_profile(n)
     delta = 1 if math.gcd(n, lo) == 1 else 0
-    estimate = Fraction((hi - lo) * profile.euler_phi, n) + delta
-    exact = phi_range_mobius(n, RangeBound(lo, hi))
+    # estimate and error are integers over n; each Fraction is built once
+    estimate_num = (hi - lo) * profile.euler_phi + delta * n
+    exact = _mobius_count(n, lo, 1, hi, 1, 1)
     return PhiApproximation(
         n=n,
         lo=lo,
         hi=hi,
-        estimate=estimate,
+        estimate=Fraction(estimate_num, n),
         exact=exact,
-        error=exact - estimate,
+        error=Fraction(exact * n - estimate_num, n),
         bound=2 * 2**profile.omega,
     )
 
@@ -351,7 +388,7 @@ def divisor_partition_identity(n: int, lo: int, hi: int) -> int:
     _check_int_range(lo, hi)
     total = 0
     for d in _divisors(n):
-        total += phi_range_mobius(n // d, RangeBound(Fraction(lo, d), Fraction(hi, d)))
+        total += _mobius_count(n // d, lo, d, hi, d, 1)
     if total != hi - lo + 1:
         raise ArithmeticError(
             f"partition of [{lo}, {hi}] by gcd with {n} came to {total}, not {hi - lo + 1}"
@@ -370,7 +407,7 @@ def divisor_partition_by_divisor(n: int, lo: int, hi: int) -> int:
     _check_int_range(lo, hi)
     total = 0
     for d in _divisors(n):
-        total += phi_range_mobius(d, RangeBound(Fraction(lo, d), Fraction(hi, d)))
+        total += _mobius_count(d, lo, d, hi, d, 1)
     return total
 
 

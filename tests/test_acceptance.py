@@ -7,6 +7,7 @@ seeded-random families reuse one full battery run shared across tests, with
 the bounds pinned to (max_b=500, max_n=2000, seed=42).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -153,6 +154,16 @@ def test_symmetric_coprime_sum(capsys, full_report):
     ok = check["passed"] and pin["matches_pin"]
     announce(capsys, "2*sum == n*count on every symmetric range lo+hi=n, n<=500 + off-symmetry pinned",
              ok, f"{check['cases']} ranges")
+
+
+# sha256 of the bytes `cotsum verify --max-b 500 --max-n 2000 --seed 42` writes
+REPORT_SHA256_SEED_42 = "8b3727984337b19fd0a01c18fb0b70a9bcf75ffd00722484797d2d5fc0ebb562"
+
+
+def test_report_bytes_pinned(capsys, full_report):
+    digest = hashlib.sha256((json.dumps(full_report, indent=2) + "\n").encode()).hexdigest()
+    announce(capsys, "report bytes for max_b=500, max_n=2000, seed=42 match the pinned sha256",
+             digest == REPORT_SHA256_SEED_42, f"sha256 {digest[:12]}...")
 
 
 def test_vanishing_trigonometric_sums(capsys, full_report):

@@ -1,5 +1,6 @@
 """The exact evaluator, classification, congruence witness, and predicates."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +21,7 @@ from cotsum.core import (
     predicate_zero,
 )
 from cotsum.errors import PreconditionError
+from cotsum.exact import boundary_count
 
 
 SPOT_VALUES = {
@@ -74,6 +76,13 @@ def test_eval_exact_rejects_bad_inputs():
         eval_exact(0, 1, 4)
     with pytest.raises(ValueError):
         eval_exact(1, -2, 4)
+
+
+@pytest.mark.parametrize("args", [(True, 1, 4), (1, True, 4), (1, 1, True)])
+def test_eval_exact_rejects_bool(args):
+    # bool is an int subclass, but True is not a positive integer argument
+    with pytest.raises(ValueError):
+        eval_exact(*args)
 
 
 def test_periodicity_in_a():
@@ -186,6 +195,15 @@ def test_master_witness_equation_holds_small():
             assert w.s == eval_exact(1, a, b)
 
 
+def test_master_witness_boundary_count_matches_exact_layer():
+    for b in range(2, 61):
+        for a in range(1, 3 * b + 1):
+            if (3 * a) % b == 0:
+                continue
+            w = master_witness(a, b)
+            assert w.e1k == boundary_count(1, a, b, w.k).value, (a, b)
+
+
 def test_master_witness_rejects_when_no_k_exists():
     # b | 3a leaves 3a + k + 1 = 0 mod b unsolvable inside [0, b-2]
     with pytest.raises(PreconditionError):
@@ -201,6 +219,11 @@ def test_master_witness_type_validates_equation():
         MasterWitness(a=1, b=4, k=0, nu=0, e1k=0, s=Fraction(3))
     with pytest.raises(ValueError):
         MasterWitness(a=1, b=4, k=5, nu=0, e1k=0, s=Fraction(2))
+    # a value off by 1/2 no longer balances, whatever the witness
+    for a, b in [(1, 4), (2, 5), (5, 4), (7, 11)]:
+        w = master_witness(a, b)
+        with pytest.raises(ValueError):
+            replace(w, s=w.s + Fraction(1, 2))
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,12 @@ def test_frac_part_rejects_bad_modulus():
         frac_part(0, 1, 5)
 
 
+@pytest.mark.parametrize("args", [(True, 3, 4), (1, True, 4), (1, 3, True)])
+def test_frac_part_rejects_bool(args):
+    with pytest.raises(ValueError):
+        frac_part(*args)
+
+
 @given(n=st.integers(1, 10**6), a=st.integers(1, 10**6), b=st.integers(2, 10**4))
 def test_frac_part_in_unit_interval_and_canonical(n, a, b):
     x = frac_part(n, a, b)

@@ -1,5 +1,7 @@
 """Coprime counting in ranges: three methods, identities, and the estimate."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -97,6 +99,41 @@ def test_range_bound_rejects_inverted():
         RangeBound(2, 1)
 
 
+def test_range_bound_equal_endpoints_in_different_spellings():
+    rb = RangeBound(Fraction(2, 4), "1/2")
+    assert rb.lo == rb.hi == Fraction(1, 2)
+    assert type(rb.lo) is Fraction and type(rb.hi) is Fraction
+    assert RangeBound("6/4", Fraction(3, 2)).width() == 0
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (Fraction(3, 4), Fraction(2, 3)),  # 9/12 > 8/12
+        (Fraction(1, 2), Fraction(1, 3)),  # 3/6 > 2/6
+        ("7/10", Fraction(2, 3)),  # 21/30 > 20/30
+        (5, Fraction(34, 7)),  # 35/7 > 34/7
+    ],
+)
+def test_range_bound_rejects_out_of_order_by_one_over_lcm(lo, hi):
+    with pytest.raises(ValueError):
+        RangeBound(lo, hi)
+    swapped = RangeBound(hi, lo)  # the same two values in order are fine
+    assert swapped.lo < swapped.hi
+
+
+@pytest.mark.parametrize("lo,hi", [(0.1, 2.9), (1, 2.5), (True, 3), (1, True), (None, 3)])
+def test_range_bound_rejects_non_rational_endpoints(lo, hi):
+    with pytest.raises(ValueError, match="float|bool|NoneType"):
+        RangeBound(lo, hi)
+
+
+@pytest.mark.parametrize("lo", [0, "0", Fraction(-1, 3), "-5/2", -4])
+def test_phi_range_mobius_refuses_nonpositive_lo(lo):
+    with pytest.raises(ValueError):
+        phi_range_mobius(6, RangeBound(lo, 10))
+
+
 def test_range_bound_empty_integer_span():
     lo, hi = RangeBound(Fraction(1, 3), Fraction(2, 3)).integer_span()
     assert lo > hi  # no integers inside
@@ -147,6 +184,11 @@ def test_methods_agree_on_rational_ranges(n, lo_num, den, width_num):
     hi = lo + Fraction(width_num, den)
     rb = RangeBound(lo, hi)
     assert phi_range_direct(n, rb) == phi_range_mobius(n, rb)
+
+
+def test_phi_range_mobius_rejects_bool_n():
+    with pytest.raises(ValueError):
+        phi_range_mobius(True, RangeBound(3, 7))
 
 
 def test_phi_range_on_empty_rational_interval():
@@ -203,6 +245,25 @@ def test_phi_approx_rejects_n1():
         phi_approx(1, 3, 9)
 
 
+@pytest.mark.parametrize("args", [(True, 3, 9), (6, True, 9), (6, 1, True)])
+def test_phi_approx_rejects_bool(args):
+    with pytest.raises(ValueError):
+        phi_approx(*args)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, 10**4), lo=st.integers(1, 10**6), width=st.integers(0, 10**6))
+def test_phi_approx_matches_fraction_formulas(n, lo, width):
+    hi = min(lo + width, 10**6)
+    ap = phi_approx(n, lo, hi)
+    delta = 1 if gcd(n, lo) == 1 else 0
+    estimate = Fraction((hi - lo) * euler_phi(n), n) + delta
+    assert type(ap.estimate) is Fraction and type(ap.error) is Fraction
+    assert ap.estimate == estimate
+    assert ap.exact == legendre_phi(n, hi) - legendre_phi(n, lo - 1)
+    assert ap.error == ap.exact - estimate
+
+
 def test_phi_approx_error_stays_under_half_bound():
     # the left-endpoint correction makes |error| <= 2^omega, half the stated bound
     for n in range(2, 300):
@@ -218,6 +279,12 @@ def test_phi_approx_type_validates():
     with pytest.raises(ValueError):
         PhiApproximation(n=6, lo=1, hi=6, estimate=Fraction(30), exact=2,
                          error=Fraction(-28), bound=8)  # bound violated
+    # an error off by 1/n no longer equals exact - estimate
+    for n, lo, hi in [(30, 7, 100), (12, 5, 17), (2, 1, 1), (97, 3, 500)]:
+        ap = phi_approx(n, lo, hi)
+        for off in (Fraction(1, n), -Fraction(1, n)):
+            with pytest.raises(ValueError):
+                replace(ap, error=ap.error + off)
 
 
 # --- divisor identities -----------------------------------------------------
@@ -228,6 +295,25 @@ def test_partition_counts_every_integer_once():
     for n in (1, 2, 12, 30, 49, 128):
         for lo in (1, 5, n):
             assert divisor_partition_identity(n, lo, lo + 17) == 18
+
+
+def fraction_route_partition(n, lo, hi, by_divisor):
+    """The partition sums as first written: a RangeBound of Fractions per divisor."""
+    return sum(
+        phi_range_mobius(d if by_divisor else n // d, RangeBound(Fraction(lo, d), Fraction(hi, d)))
+        for d in range(1, n + 1)
+        if n % d == 0
+    )
+
+
+def test_partition_functions_match_fraction_route():
+    rng = random.Random(2024)
+    for n in range(1, 201):
+        for _ in range(8):
+            lo = rng.randint(1, 3 * n)
+            hi = rng.randint(lo, lo + 3 * n)
+            assert divisor_partition_identity(n, lo, hi) == fraction_route_partition(n, lo, hi, False)
+            assert divisor_partition_by_divisor(n, lo, hi) == fraction_route_partition(n, lo, hi, True)
 
 
 def test_partition_by_divisor_overcounts():
