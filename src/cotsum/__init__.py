@@ -19,94 +19,74 @@ Modules:
     cli           command line front end
 """
 
-from .core import (
-    CotSumValue,
-    CotTag,
-    MasterWitness,
-    classify,
-    eval_exact,
-    master_witness,
-    predicate_minus,
-    predicate_plus,
-    predicate_zero,
-)
-from .distribution import SweepReport, closed_form_counts, sweep, sweep_range
-from .errors import PreconditionError
-from .exact import BoundaryCount, boundary_count, frac_part, shifted_frac_part
-from .numeric import (
-    NumericResult,
-    agrees,
-    cot_cos_power_sum,
-    cot_sin2_sum,
-    eval_float,
-    frac_part_via_sine_sum,
-    tol,
-)
-from .totient import (
-    ArithmeticProfile,
-    PhiApproximation,
-    PhiDecomposition,
-    RangeBound,
-    arithmetic_profile,
-    coprime_sum,
-    divisor_partition_by_divisor,
-    divisor_partition_identity,
-    euler_phi,
-    legendre_phi,
-    phi_approx,
-    phi_decomposition,
-    phi_range_direct,
-    phi_range_mobius,
-    phi_range_mobius_half_open,
-    spf_sieve,
-)
-from .verify import CheckResult, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArithmeticProfile",
-    "BoundaryCount",
-    "CheckResult",
-    "CotSumValue",
-    "CotTag",
-    "MasterWitness",
-    "NumericResult",
-    "PhiApproximation",
-    "PhiDecomposition",
-    "PreconditionError",
-    "RangeBound",
-    "SweepReport",
-    "agrees",
-    "arithmetic_profile",
-    "boundary_count",
-    "classify",
-    "closed_form_counts",
-    "coprime_sum",
-    "cot_cos_power_sum",
-    "cot_sin2_sum",
-    "divisor_partition_by_divisor",
-    "divisor_partition_identity",
-    "euler_phi",
-    "eval_exact",
-    "eval_float",
-    "frac_part",
-    "frac_part_via_sine_sum",
-    "legendre_phi",
-    "master_witness",
-    "phi_approx",
-    "phi_decomposition",
-    "phi_range_direct",
-    "phi_range_mobius",
-    "phi_range_mobius_half_open",
-    "predicate_minus",
-    "predicate_plus",
-    "predicate_zero",
-    "run_checks",
-    "shifted_frac_part",
-    "spf_sieve",
-    "sweep",
-    "sweep_range",
-    "tol",
-    "__version__",
-]
+# Public name -> defining submodule. Nothing is imported until a name is first
+# read (PEP 562), so `import cotsum` and each CLI subcommand load only the
+# layers they use.
+_EXPORTS = {
+    "ArithmeticProfile": "totient",
+    "BoundaryCount": "exact",
+    "CheckResult": "verify",
+    "CotSumValue": "core",
+    "CotTag": "core",
+    "MasterWitness": "core",
+    "NumericResult": "numeric",
+    "PhiApproximation": "totient",
+    "PhiDecomposition": "totient",
+    "PreconditionError": "errors",
+    "RangeBound": "totient",
+    "SweepReport": "distribution",
+    "agrees": "numeric",
+    "arithmetic_profile": "totient",
+    "boundary_count": "exact",
+    "classify": "core",
+    "closed_form_counts": "distribution",
+    "coprime_sum": "totient",
+    "cot_cos_power_sum": "numeric",
+    "cot_sin2_sum": "numeric",
+    "divisor_partition_by_divisor": "totient",
+    "divisor_partition_identity": "totient",
+    "euler_phi": "totient",
+    "eval_exact": "core",
+    "eval_float": "numeric",
+    "frac_part": "exact",
+    "frac_part_via_sine_sum": "numeric",
+    "legendre_phi": "totient",
+    "master_witness": "core",
+    "phi_approx": "totient",
+    "phi_decomposition": "totient",
+    "phi_range_direct": "totient",
+    "phi_range_mobius": "totient",
+    "phi_range_mobius_half_open": "totient",
+    "predicate_minus": "core",
+    "predicate_plus": "core",
+    "predicate_zero": "core",
+    "run_checks": "verify",
+    "shifted_frac_part": "exact",
+    "spf_sieve": "totient",
+    "sweep": "distribution",
+    "sweep_range": "distribution",
+    "tol": "numeric",
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it here
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,9 @@ csv or json form). Exit codes:
     2  malformed usage or argument values
     3  a documented mathematical precondition was violated
     4  an output path could not be written
+
+Each command imports the layers it runs inside its own function, so a cold
+`eval`, `classify` or `totient` call never loads `verify` or `distribution`.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any
 
-from . import core, distribution, numeric, totient, verify
 from .errors import PreconditionError
 
 __all__ = ["OutputRecord", "build_parser", "main"]
@@ -76,8 +77,10 @@ def _rational(text: str) -> Fraction:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import core, numeric
+
     inputs = {"n": args.n, "a": args.a, "b": args.b, "mode": args.mode}
-    outputs: dict[str, Any] = {}
+    outputs: dict[str, object] = {}
     status, code = "ok", 0
     exact_value = approx = None
     if args.mode in ("exact", "both"):
@@ -102,6 +105,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _predicate_name(a: int, b: int) -> str | None:
     """Which window 3a + k + 1 landed in, written as the congruence it proves."""
+    from . import core
+
     r = a % b
     if r == 0 or b == 3 or gcd(r, b) != 1:
         return None
@@ -115,12 +120,14 @@ def _predicate_name(a: int, b: int) -> str | None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import core
+
     inputs = {"a": args.a, "b": args.b, "strict": args.strict}
     try:
         value = core.classify(args.a, args.b, strict=args.strict)
     except PreconditionError as exc:
         return _precondition("classify", inputs, exc)
-    outputs: dict[str, Any] = {"tag": value.tag.value, "exact": str(value.exact)}
+    outputs: dict[str, object] = {"tag": value.tag.value, "exact": str(value.exact)}
     try:
         w = core.master_witness(args.a, args.b)
     except PreconditionError:
@@ -146,6 +153,8 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import distribution
+
     reports = distribution.sweep_range(args.b_lo, args.b_hi, workers=args.workers)
     by_b = {rep.b: rep for rep in reports}
     if args.format == "json":
@@ -167,10 +176,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_totient(args: argparse.Namespace) -> int:
+    from . import totient
+
     inputs = {"n": args.n, "lo": str(args.lo), "hi": str(args.hi), "method": args.method}
     bounds = totient.RangeBound(args.lo, args.hi)  # rejects lo > hi
     integral = args.lo.denominator == 1 and args.hi.denominator == 1
-    outputs: dict[str, Any] = {}
+    outputs: dict[str, object] = {}
     status, code = "ok", 0
     if args.method in ("direct", "all"):
         outputs["direct"] = totient.phi_range_direct(args.n, bounds)
@@ -200,6 +211,8 @@ def cmd_totient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     report = verify.run_checks(
         max_b=args.max_b, max_n=args.max_n, seed=args.seed, workers=args.workers
     )

@@ -169,12 +169,12 @@ def spf_sieve(limit: int) -> list[int]:
     return spf
 
 
-def _endpoint(value: RationalLike) -> Fraction:
+def _endpoint(value: RationalLike, what: str = "range endpoint") -> Fraction:
     # bool is an int and float converts to its binary expansion; both would
     # silently stand for a different range than the caller wrote
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(
-            f"range endpoint must be an int, str or Fraction, got {type(value).__name__} {value!r}"
+            f"{what} must be an int, str or Fraction, got {type(value).__name__} {value!r}"
         )
     return Fraction(value)
 
@@ -265,9 +265,13 @@ def phi_range_mobius_half_open(n: int, bounds: RangeBound) -> int:
 
 
 def legendre_phi(n: int, x: RationalLike) -> int:
-    """Count of 1 <= k <= x with gcd(n, k) = 1; x may be rational."""
+    """Count of 1 <= k <= x with gcd(n, k) = 1; x may be rational.
+
+    x is taken as an int, str or Fraction, like a `RangeBound` endpoint.
+    """
     _check_n(n)
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = _endpoint(x, "prefix bound")
     if x < 0:
         raise ValueError(f"prefix bound must be >= 0, got {x}")
     num, den = x.numerator, x.denominator

@@ -9,13 +9,12 @@ the bounds pinned to (max_b=500, max_n=2000, seed=42).
 
 import hashlib
 import json
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import run_cotsum
 
 from cotsum import (
     agrees,
@@ -195,21 +194,15 @@ def test_spot_values_both_paths(capsys):
 
 def test_cli_contract(capsys, tmp_path):
     report_path = tmp_path / "report.json"
-    verify_proc = subprocess.run(
-        [sys.executable, "-m", "cotsum", "verify", "--max-b", "100",
-         "--max-n", "500", "--seed", "42", "--report", str(report_path)],
-        capture_output=True, text=True, timeout=600,
-    )
+    verify_proc = run_cotsum("verify", "--max-b", "100", "--max-n", "500", "--seed", "42",
+                             "--report", str(report_path), timeout=600)
     ok = verify_proc.returncode == 0
     reparsed = {}
     if ok:
         reparsed = json.loads(report_path.read_text())
         ok = reparsed["summary"]["ok"] is True
 
-    sweep_proc = subprocess.run(
-        [sys.executable, "-m", "cotsum", "sweep", "2", "50"],
-        capture_output=True, text=True, timeout=600,
-    )
+    sweep_proc = run_cotsum("sweep", "2", "50", timeout=600)
     ok = ok and sweep_proc.returncode == 0
     rows = [ln for ln in sweep_proc.stdout.strip().split("\n")[1:] if not ln.startswith("3,")]
     ok = ok and len(rows) == 48 and all(ln.endswith(",true") for ln in rows)

@@ -1,19 +1,13 @@
 """End-to-end CLI runs through a real subprocess: formats and exit codes."""
 
 import json
-import subprocess
-import sys
 
 import pytest
+from conftest import run_cotsum
 
 
 def run_cli(*args: str):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cotsum", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_cotsum(*args)
     return proc.returncode, proc.stdout, proc.stderr
 
 

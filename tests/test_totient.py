@@ -207,6 +207,19 @@ def test_legendre_phi_values():
     assert legendre_phi(6, 0) == 0
 
 
+def test_legendre_phi_takes_int_str_and_fraction_alike():
+    # k <= 7/2 coprime to 12: only k = 1; k <= 35/2 matches the integer prefix 17
+    assert legendre_phi(12, "7/2") == legendre_phi(12, Fraction(7, 2)) == legendre_phi(12, 3) == 1
+    assert legendre_phi(12, Fraction(35, 2)) == legendre_phi(12, "35/2") == legendre_phi(12, 17) == 6
+
+
+@pytest.mark.parametrize("x", [4.35 * 100, 7.0, True, False, None])
+def test_legendre_phi_rejects_float_and_bool(x):
+    # 4.35 * 100 is 434.99999999999994, which would silently count to 434
+    with pytest.raises(ValueError, match="prefix bound.*(float|bool|NoneType)"):
+        legendre_phi(1, x)
+
+
 def test_decomposition_worked_example():
     d = phi_decomposition(12, 5, 17)
     assert (d.prefix_hi, d.prefix_lo, d.endpoint) == (6, 2, 1)
