@@ -79,10 +79,12 @@ class CotSumValue:
     exact: Fraction
 
     def __post_init__(self) -> None:
+        # a Fraction carries its sign on the numerator
+        num = self.exact.numerator
         want = {
-            CotTag.ZERO: self.exact == 0,
-            CotTag.PLUS_HALF_B: self.exact > 0,
-            CotTag.MINUS_HALF_B: self.exact < 0,
+            CotTag.ZERO: num == 0,
+            CotTag.PLUS_HALF_B: num > 0,
+            CotTag.MINUS_HALF_B: num < 0,
         }
         if self.tag in want and not want[self.tag]:
             raise ValueError(f"tag {self.tag.value} inconsistent with value {self.exact}")

@@ -98,10 +98,11 @@ def sweep(b: int) -> SweepReport:
 def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     """Sweep every b in [b_lo, b_hi] except 3, in order."""
     check_modulus(b_lo)
+    check_modulus(b_hi)
     if b_hi < b_lo:
         raise ValueError(f"empty sweep range: {b_lo}..{b_hi}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
     if workers == 1 or len(moduli) < 4:
         return [sweep(b) for b in moduli]

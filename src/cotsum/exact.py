@@ -35,6 +35,15 @@ def check_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_window(n: int, a: int, b: int, k: int) -> None:
+    """The argument checks of a window (n*a, n*a + k] modulo b."""
+    check_positive("n", n)
+    check_positive("a", a)
+    check_modulus(b)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"window length k must be a non-negative integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class BoundaryCount:
     """b * #(multiples of b in the window (n*a, n*a + k])."""
@@ -75,11 +84,7 @@ def boundary_count(n: int, a: int, b: int, k: int) -> BoundaryCount:
     Closed form: b * (floor((n*a + k)/b) - floor(n*a/b)). Equals the lambda
     scan over the window, and for 0 <= k <= b-1 the count is 0 or 1.
     """
-    check_positive("n", n)
-    check_positive("a", a)
-    check_modulus(b)
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"window length k must be a non-negative integer, got {k!r}")
+    _check_window(n, a, b, k)
     return BoundaryCount(n=n, a=a, b=b, k=k, value=_boundary_value(n * a, b, k))
 
 
@@ -92,8 +97,10 @@ def shifted_frac_part(n: int, a: int, b: int, k: int) -> Fraction:
     """{(n*a + k)/b} via the shift rule, not via direct reduction.
 
     Exists so the rule x_{n,k} = x_n + k/b - E(n,k)/b can be checked against
-    frac_part(1, n*a + k, b) computed independently.
+    frac_part(1, n*a + k, b) computed independently. On plain ints the rule
+    reads ((n*a mod b) + k - E)/b, with E from the same helper as
+    boundary_count; one Fraction is built, at the edge.
     """
-    x = frac_part(n, a, b)
-    e = boundary_count(n, a, b, k)
-    return x + Fraction(k - e.value, b)
+    _check_window(n, a, b, k)
+    na = n * a
+    return Fraction(na % b + k - _boundary_value(na, b, k), b)

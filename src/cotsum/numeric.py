@@ -10,8 +10,10 @@ either is wrong. Two things keep the rounding error controlled:
   * compensated (Kahan) summation for every sum.
 
 Per-modulus tables of cot(pi*m/b), sin(2*pi*j/b), its cube and cos(2*pi*j/b)
-are memoized, which keeps repeated sweeps over the same b close to table
-lookup speed.
+are memoized for the last 8 moduli, which keeps repeated sums over the same b
+close to table lookup speed. Callers loop b on the outside, so only the most
+recent b is ever reused; the bound keeps a run over large moduli from holding
+more than 8 entries of about 13 MB each (b = 10^5).
 
 The comparison tolerance is tol(b) = 1e-9 * b**2: the largest table entry is
 cot(pi/b) ~ b/pi and sums have b-1 terms, so admissible rounding noise grows
@@ -69,7 +71,12 @@ def agrees(exact: Fraction, result: NumericResult, b: int) -> bool:
     return abs(float(exact) - result.value) <= tol(b)
 
 
-@lru_cache(maxsize=64)
+# Every caller loops b on the outside (the battery's numeric checks, the
+# acceptance tests, one b per CLI call), so all reuse is of the most recent b:
+# the battery's 81k hits are repeats of it, and 64 entries gave no reuse
+# between checks (1,196 misses at both 64 and 8). One entry is four O(b) float
+# lists, about 13 MB at b = 10^5.
+@lru_cache(maxsize=8)
 def _tables(b: int) -> tuple[list[float], list[float], list[float], list[float]]:
     check_modulus(b)
     sin = [math.sin(_TWO_PI * j / b) for j in range(b)]

@@ -15,6 +15,11 @@ a Fraction only where one is returned. phi_range_direct and legendre_phi stay
 off that kernel: they are the independent routes the others are checked
 against.
 
+Every count starts from n's factorization, `arithmetic_profile(n)`, memoized
+for the last 1024 distinct n: callers ask for one n many times in a row, so
+that keeps every repeat a hit while a loop over millions of n stays at about
+1 MB of profiles instead of growing without limit (about 0.9 KB per n).
+
 On top of those: the main-term approximation with its explicit 2 * 2^omega(n)
 error bound, a divisor-level partition of a range by gcd, and the paired sum
 of coprime residues over a symmetric range.
@@ -28,9 +33,11 @@ per divisor term, undercounting by exactly one when n = 1) and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import PreconditionError
 
@@ -120,8 +127,21 @@ class ArithmeticProfile:
             raise ValueError("mu does not sum to the n=1 indicator over divisors")
 
 
-@lru_cache(maxsize=None)
+# Sized to the reuse its callers show: each asks for one n many times in a
+# row (50-200 calls per n in the battery's totient checks, 4-5 per b in a
+# sweep) and the gcd partition reuses divisors n/d <= 500. A profile is about
+# 0.9 KB, so unbounded the battery held 10,000 of them and a library loop of
+# euler_phi over 10^7 integers would hold about 9 GB. One process running
+# run_checks(500, 2000, 42), Python 3.11 on Linux x86-64:
+#   profile size / _tables size   peak RSS   profile misses
+#   unbounded / 64                31.9 MB    10,000
+#   2048 / 8                      22.8 MB    12,000
+#   1024 / 8                      22.0 MB    12,500
+# A miss costs about 10 us (a fresh factorization), so the 2,500 extra misses
+# add about 0.03 s; a hit costs the same 0.1 us bounded or not.
+@lru_cache(maxsize=1024)
 def arithmetic_profile(n: int) -> ArithmeticProfile:
+    """Factorization-derived data for n, memoized for the last 1024 distinct n."""
     _check_n(n)
     pp = _factorize(n)
     phi = n
@@ -220,8 +240,7 @@ def phi_range_direct(n: int, bounds: RangeBound) -> int:
     _check_n(n)
     _check_positive_range(bounds)
     lo, hi = bounds.integer_span()
-    gcd = math.gcd
-    return sum(1 for k in range(lo, hi + 1) if gcd(n, k) == 1)
+    return operator.countOf(map(math.gcd, repeat(n), range(lo, hi + 1)), 1)
 
 
 def _mobius_count(n: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int, plus: int) -> int:
@@ -272,9 +291,9 @@ def legendre_phi(n: int, x: RationalLike) -> int:
     _check_n(n)
     if not isinstance(x, Fraction):
         x = _endpoint(x, "prefix bound")
-    if x < 0:
-        raise ValueError(f"prefix bound must be >= 0, got {x}")
     num, den = x.numerator, x.denominator
+    if num < 0:
+        raise ValueError(f"prefix bound must be >= 0, got {x}")
     total = 0
     for d, mu in arithmetic_profile(n).squarefree_divisors:
         total += mu * (num // (den * d))

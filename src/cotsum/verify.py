@@ -176,6 +176,7 @@ def _check_trichotomy(ctx: _Ctx) -> CheckResult:
         if b == 3:
             continue
         half = Fraction(b, 2)
+        allowed = (0, half, -half)
         for a in range(1, b):
             if gcd(a, b) != 1:
                 continue
@@ -189,7 +190,7 @@ def _check_trichotomy(ctx: _Ctx) -> CheckResult:
             if sum(preds) != 1:
                 return _fail(mod, name, cases, "predicates must pick exactly one class", a=a, b=b, preds=list(preds))
             want = core.CotTag.ZERO if preds[0] else core.CotTag.PLUS_HALF_B if preds[1] else core.CotTag.MINUS_HALF_B
-            if v.tag is not want or v.exact not in (0, half, -half):
+            if v.tag is not want or v.exact not in allowed:
                 return _fail(mod, name, cases, "classification left the three-value set", a=a, b=b, tag=v.tag.value, value=v.exact)
     return _ok(mod, name, cases, f"every coprime a for every b <= {ctx.max_b}, b != 3")
 
@@ -396,8 +397,11 @@ def _check_random_rational(ctx: _Ctx) -> CheckResult:
         for _ in range(200):
             lo_den = rng.randint(1, 8)
             w_den = rng.randint(1, 8)
-            lo = Fraction(rng.randint(1, 3 * n * lo_den), lo_den)
-            bounds = RangeBound(lo, lo + Fraction(rng.randint(0, 48 * w_den), w_den))
+            lo_num = rng.randint(1, 3 * n * lo_den)
+            w_num = rng.randint(0, 48 * w_den)
+            # hi = lo + w_num/w_den, built as one Fraction
+            hi = Fraction(lo_num * w_den + w_num * lo_den, lo_den * w_den)
+            bounds = RangeBound(Fraction(lo_num, lo_den), hi)
             cases += 1
             if totient.phi_range_direct(n, bounds) != totient.phi_range_mobius(n, bounds):
                 return _fail(
@@ -409,8 +413,8 @@ def _check_random_rational(ctx: _Ctx) -> CheckResult:
         # a few wide ranges, validated against prefixes instead of a long scan
         for _ in range(5):
             den = rng.randint(1, 8)
-            lo = Fraction(rng.randint(den, 3 * n * den), den)
-            bounds = RangeBound(lo, lo + Fraction(rng.randint(0, 3 * n * den), den))
+            lo_num = rng.randint(den, 3 * n * den)
+            bounds = RangeBound(Fraction(lo_num, den), Fraction(lo_num + rng.randint(0, 3 * n * den), den))
             span_lo, span_hi = bounds.integer_span()
             cases += 1
             if span_lo > span_hi:
@@ -448,7 +452,7 @@ def _check_approx_bound(ctx: _Ctx) -> CheckResult:
     mod, name = "totient", "main-term-error-bound"
     cases = 0
     rng = ctx.rng
-    worst_err = Fraction(0)
+    worst_err = Fraction(0)  # rebuilt only when the maximum moves
     worst_err_at: dict | None = None
     worst_ratio = -1.0
     worst_ratio_at: dict | None = None
@@ -461,13 +465,14 @@ def _check_approx_bound(ctx: _Ctx) -> CheckResult:
             except ValueError as exc:
                 return _fail(mod, name, cases, "error bound violated", n=n, lo=lo, hi=hi, error=str(exc))
             cases += 1
-            err = abs(ap.error)
-            if err > worst_err:
-                worst_err = err
+            # |error| compared by cross-multiplying; denominators are positive
+            num, den = abs(ap.error.numerator), ap.error.denominator
+            if num * worst_err.denominator > worst_err.numerator * den:
+                worst_err = Fraction(num, den)
                 worst_err_at = {"n": n, "lo": lo, "hi": hi, "bound": ap.bound}
             # normalize by 2^omega(n), half the proven bound, to see how much
-            # slack the factor of 2 really leaves
-            ratio = float(err) / (ap.bound // 2)
+            # slack the factor of 2 really leaves; num / den is float(|error|)
+            ratio = num / den / (ap.bound // 2)
             if ratio > worst_ratio:
                 worst_ratio = ratio
                 worst_ratio_at = {"n": n, "lo": lo, "hi": hi, "bound": ap.bound}

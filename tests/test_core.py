@@ -168,6 +168,15 @@ def test_cotsumvalue_tag_must_match_value():
         CotSumValue(tag=CotTag.ZERO, exact=Fraction(1))
     with pytest.raises(ValueError):
         CotSumValue(tag=CotTag.PLUS_HALF_B, exact=Fraction(-2))
+    for bad in (Fraction(0), Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            CotSumValue(tag=CotTag.MINUS_HALF_B, exact=bad)
+    # each sign passes under its own tag, and Other takes any value
+    CotSumValue(tag=CotTag.ZERO, exact=Fraction(0))
+    CotSumValue(tag=CotTag.PLUS_HALF_B, exact=Fraction(1, 4))
+    CotSumValue(tag=CotTag.MINUS_HALF_B, exact=Fraction(-1, 4))
+    for value in (Fraction(-3, 4), Fraction(0), Fraction(3, 4)):
+        CotSumValue(tag=CotTag.OTHER, exact=value)
 
 
 @pytest.mark.parametrize(

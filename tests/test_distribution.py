@@ -60,6 +60,21 @@ def test_sweep_range_rejects_empty_or_bad():
         sweep_range(2, 6, workers=0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2, 10.0), (2, True), (2, 1), (2, "10"), (True, 10)],
+)
+def test_sweep_range_checks_both_ends(args):
+    with pytest.raises(ValueError, match="modulus b"):
+        sweep_range(*args)
+
+
+@pytest.mark.parametrize("workers", [True, False, 2.0, "2", None])
+def test_sweep_range_rejects_non_int_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        sweep_range(2, 6, workers=workers)
+
+
 def test_sweep_range_parallel_matches_serial():
     serial = sweep_range(2, 200)
     parallel = sweep_range(2, 200, workers=2)

@@ -73,6 +73,12 @@ def test_boundary_count_matches_window_scan():
                 assert boundary_count(1, a, b, k).value == scan
 
 
+@pytest.mark.parametrize("k", [True, False, -1, 1.0, "1"])
+def test_boundary_count_rejects_bad_window(k):
+    with pytest.raises(ValueError, match="window length k"):
+        boundary_count(1, 1, 4, k)
+
+
 def test_boundary_count_monotone_in_steps_of_b():
     for b in (2, 5, 12):
         for a in (1, b - 1, b + 3):
@@ -102,6 +108,27 @@ def test_boundary_count_type_rejects_inconsistent_fields():
 )
 def test_shifted_frac_part_values(n, a, b, k, want):
     assert shifted_frac_part(n, a, b, k) == want
+
+
+def test_shifted_frac_part_exhaustive_to_b30():
+    # every residue of n*a, reached both below and above b, for every k <= 2b
+    for b in range(2, 31):
+        for n in (1, 2, b + 1):
+            for a in range(1, 2 * b + 1):
+                for k in range(2 * b + 1):
+                    got = shifted_frac_part(n, a, b, k)
+                    assert type(got) is Fraction
+                    assert got == frac_part(1, n * a + k, b)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 1, 4, True), (1, 1, 4, False), (1, 1, 4, -1), (1, 1, 4, 2.0),
+     (0, 1, 4, 1), (True, 1, 4, 1), (1, True, 4, 1), (1, 1, 1, 1), (1, 1, True, 1)],
+)
+def test_shifted_frac_part_keeps_every_argument_check(args):
+    with pytest.raises(ValueError):
+        shifted_frac_part(*args)
 
 
 def test_shift_rule_equals_direct_reduction_small():

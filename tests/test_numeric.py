@@ -10,6 +10,7 @@ from cotsum.exact import frac_part
 from cotsum.core import eval_exact
 from cotsum.numeric import (
     NumericResult,
+    _tables,
     agrees,
     cot_cos_power_sum,
     cot_sin2_sum,
@@ -115,3 +116,15 @@ def test_agrees_is_a_tolerance_check():
     assert agrees(Fraction(2), NumericResult(value=2.0, term_count=3, abs_bound=3.0), 4)
     off = NumericResult(value=2.5, term_count=3, abs_bound=3.0)
     assert not agrees(Fraction(2), off, 4)
+
+
+def test_tables_cache_holds_eight_moduli_and_rebuilds_evicted_ones_unchanged():
+    assert _tables.cache_info().maxsize == 8
+    _tables.cache_clear()
+    before = [list(t) for t in _tables(7)]
+    for b in range(8, 40):  # evicts b = 7
+        _tables(b)
+    assert _tables.cache_info().currsize == 8
+    misses = _tables.cache_info().misses
+    assert [list(t) for t in _tables(7)] == before
+    assert _tables.cache_info().misses == misses + 1

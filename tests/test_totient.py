@@ -56,6 +56,21 @@ def test_profile_fields():
     assert arithmetic_profile(1).euler_phi == 1
 
 
+def test_profile_cache_is_bounded():
+    assert arithmetic_profile.cache_info().maxsize == 1024
+    arithmetic_profile.cache_clear()
+    for n in range(1, 5001):
+        arithmetic_profile(n)
+    info = arithmetic_profile.cache_info()
+    assert info.currsize <= 1024
+    assert info.misses == 5000
+    # n = 1..3976 were evicted; a re-read is a miss that refactors n afresh
+    for n in (1, 12, 30, 97, 360, 2310):
+        misses = arithmetic_profile.cache_info().misses
+        assert arithmetic_profile(n) == arithmetic_profile.__wrapped__(n)
+        assert arithmetic_profile.cache_info().misses == misses + 1
+
+
 def test_profile_against_sieve():
     spf = spf_sieve(2000)
     for n in range(2, 2001):
@@ -205,6 +220,12 @@ def test_legendre_phi_values():
     assert legendre_phi(12, 5) == 2
     assert legendre_phi(1, 9) == 9
     assert legendre_phi(6, 0) == 0
+
+
+@pytest.mark.parametrize("x", [-1, "-1/2", Fraction(-1, 3)])
+def test_legendre_phi_rejects_negative_bound(x):
+    with pytest.raises(ValueError, match="prefix bound must be >= 0"):
+        legendre_phi(6, x)
 
 
 def test_legendre_phi_takes_int_str_and_fraction_alike():
