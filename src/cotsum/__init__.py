@@ -12,7 +12,7 @@ Modules:
     exact         fractional parts, boundary counts (Fraction arithmetic)
     core          evaluation and classification through one integer kernel,
                   congruence witnesses
-    numeric       float oracle with compensated summation
+    numeric       float oracle summed with correctly rounded math.fsum
     totient       coprime counts and sums over rational ranges
     distribution  per-modulus sweeps of the value distribution
     verify        the machine-checkable identity battery

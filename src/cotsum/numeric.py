@@ -7,7 +7,10 @@ either is wrong. Two things keep the rounding error controlled:
   * integer angle reduction: the angle 2*pi*m*n*a/b is reduced as the integer
     m*(n*a mod b) mod b before any float is formed, so precision does not
     degrade as n*a grows;
-  * compensated (Kahan) summation for every sum.
+  * correctly rounded `math.fsum` for every sum, in one helper. Table
+    rounding, not summation, sets the error: for n = 1, every residue and
+    b <= 300 the worst |exact - float| / tol(b) is 6.46e-8 with Kahan
+    summation and with fsum alike.
 
 Per-modulus tables of cot(pi*m/b), sin(2*pi*j/b), its cube and cos(2*pi*j/b)
 are memoized for the last 8 moduli, which keeps repeated sums over the same b
@@ -45,7 +48,7 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class NumericResult:
-    """A compensated float sum plus the bookkeeping needed to trust it."""
+    """A float sum, correctly rounded by `math.fsum`, plus the bookkeeping to trust it."""
 
     value: float
     term_count: int
@@ -94,20 +97,19 @@ def _term_bound(b: int, cot: list[float]) -> float:
     return (b - 1) * abs(cot[1])
 
 
+def _cot_sum(cot: list[float], table: list[float], r: int) -> float:
+    """Correctly rounded sum of cot(pi*m/b) * table[m*r mod b] for m in [1, b-1]."""
+    b = len(cot)
+    # a generator, not a list: at b = 10^5 a list of the terms costs 3 MB
+    return math.fsum(cot[m] * table[m * r % b] for m in range(1, b))
+
+
 def eval_float(n: int, a: int, b: int) -> NumericResult:
     """Brute-force S(n, a, b): sum of cot(pi*m/b) * sin(2*pi*m*n*a/b)**3."""
     check_positive("n", n)
     check_positive("a", a)
     cot, _, _, sin3 = _tables(b)
-    r = n * a % b
-    s = 0.0
-    c = 0.0
-    for m in range(1, b):
-        t = cot[m] * sin3[m * r % b]
-        y = t - c
-        hi = s + y
-        c = (hi - s) - y
-        s = hi
+    s = _cot_sum(cot, sin3, n * a % b)
     return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
 
 
@@ -120,16 +122,7 @@ def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
     check_positive("n", n)
     check_positive("a", a)
     cot, sin, _, _ = _tables(b)
-    r = n * a % b
-    s = 0.0
-    c = 0.0
-    for m in range(1, b):
-        v = sin[m * r % b]
-        t = cot[m] * v * v
-        y = t - c
-        hi = s + y
-        c = (hi - s) - y
-        s = hi
+    s = _cot_sum(cot, [v * v for v in sin], n * a % b)
     return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
 
 
@@ -142,15 +135,7 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
     check_positive("n", n)
     check_positive("a", a)
     cot, _, cos, _ = _tables(b)
-    r = n * a % b
-    s = 0.0
-    c = 0.0
-    for m in range(1, b):
-        t = cot[m] * cos[m * r % b] ** q
-        y = t - c
-        hi = s + y
-        c = (hi - s) - y
-        s = hi
+    s = _cot_sum(cot, [v**q for v in cos], n * a % b)
     return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
 
 
@@ -167,18 +152,10 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     r = n * a % b
     if r == 0:
         raise PreconditionError(f"{b} divides {n}*{a}; the sine sum degenerates")
-    s = 0.0
-    c = 0.0
-    for m in range(1, b):
-        t = cot[m] * sin[m * r % b]
-        y = t - c
-        hi = s + y
-        c = (hi - s) - y
-        s = hi
+    s = _cot_sum(cot, sin, r)
     inner_bound = _term_bound(b, cot)
-    value = 0.5 - s / (2.0 * b)
     return NumericResult(
-        value=value,
+        value=0.5 - s / (2.0 * b),
         term_count=b - 1,
         abs_bound=max(inner_bound, 0.5 + inner_bound / (2.0 * b)),
     )

@@ -631,12 +631,9 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     The report depends only on (max_b, max_n, seed); workers only changes how
     the sweep check is scheduled, never its content or ordering.
     """
-    if max_b < 2:
-        raise ValueError(f"max_b must be >= 2, got {max_b}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    for label, value, least in (("max_b", max_b, 2), ("max_n", max_n, 1), ("workers", workers, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"{label} must be >= {least}, got {value}")
     ctx = _Ctx(max_b=max_b, max_n=max_n, workers=workers, rng=random.Random(seed))
     results = [check(ctx) for check in _CHECKS]
     discrepancies = _expected_discrepancies()

@@ -1,6 +1,7 @@
 """Fractional parts, the boundary count, and the shift rule."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +44,6 @@ def test_frac_part_in_unit_interval_and_canonical(n, a, b):
     x = frac_part(n, a, b)
     assert 0 <= x < 1
     # Fraction keeps lowest terms by construction; make that explicit here
-    from math import gcd
-
     assert gcd(x.numerator, x.denominator) == 1
     assert x.denominator >= 1
 
@@ -71,6 +70,30 @@ def test_boundary_count_matches_window_scan():
                 na = a
                 scan = b * sum(1 for lam in range(na + 1, na + k + 1) if lam % b == 0)
                 assert boundary_count(1, a, b, k).value == scan
+
+
+@st.composite
+def windows(draw):
+    """(n, a, b, k) with b up to 10^4; about half the draws have b | n*a."""
+    b = draw(st.integers(2, 10**4))
+    n = draw(st.integers(1, 10**3))
+    a = draw(st.integers(1, 10**6))
+    if draw(st.booleans()):
+        a *= b // gcd(n, b)
+    k = draw(st.integers(0, 3 * b))
+    return n, a, b, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows())
+def test_window_helpers_match_literal_scan(window):
+    n, a, b, k = window
+    na = n * a
+    hits = sum(1 for lam in range(na + 1, na + k + 1) if lam % b == 0)
+    assert boundary_count(n, a, b, k).value == b * hits
+    got = shifted_frac_part(n, a, b, k)
+    assert got == Fraction((na + k) % b, b)
+    assert got == frac_part(n, a, b) + Fraction(k - b * hits, b)
 
 
 @pytest.mark.parametrize("k", [True, False, -1, 1.0, "1"])
@@ -167,8 +190,6 @@ def test_unit_shift_rules():
     q=st.fractions(max_denominator=100),
 )
 def test_fraction_arithmetic_stays_canonical(p, q):
-    from math import gcd
-
     for r in (p + q, p - q, p * q):
         assert r.denominator >= 1
         assert gcd(abs(r.numerator), r.denominator) == 1

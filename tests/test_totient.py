@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -27,12 +28,6 @@ from cotsum.totient import (
     phi_range_mobius_half_open,
     spf_sieve,
 )
-
-
-def brute_phi_range(n, lo, hi):
-    from math import ceil, floor
-
-    return sum(1 for k in range(ceil(lo), floor(hi) + 1) if k >= 1 and gcd(k, n) == 1)
 
 
 # --- profiles ---------------------------------------------------------------
@@ -178,11 +173,15 @@ def test_half_open_variant_is_short_by_one_exactly_at_n1():
 
 
 def test_direct_equals_mobius_exhaustive_small():
+    # a RangeBound does not depend on n, so each (lo, hi) is built once, and
+    # one gcd-scan prefix count per n stands in for a brute scan per range
+    bounds = {(lo, hi): RangeBound(lo, hi) for lo in range(1, 119) for hi in range(lo, lo + 118)}
     for n in range(1, 60):
+        coprime_upto = [0, *accumulate(gcd(k, n) == 1 for k in range(1, 4 * n))]
         for lo in range(1, 2 * n + 1):
             for hi in range(lo, lo + 2 * n):
-                rb = RangeBound(lo, hi)
-                want = brute_phi_range(n, lo, hi)
+                rb = bounds[lo, hi]
+                want = coprime_upto[hi] - coprime_upto[lo - 1]
                 assert phi_range_direct(n, rb) == want
                 assert phi_range_mobius(n, rb) == want
 

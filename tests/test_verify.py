@@ -77,3 +77,21 @@ def test_bad_parameters_rejected():
         run_checks(max_n=0)
     with pytest.raises(ValueError):
         run_checks(workers=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"max_b": True}, "max_b must be >= 2, got True"),
+        ({"max_b": 4.5}, "max_b must be >= 2, got 4.5"),
+        ({"max_b": "500"}, "max_b must be >= 2, got 500"),
+        ({"max_n": True}, "max_n must be >= 1, got True"),
+        ({"max_n": 2.0}, "max_n must be >= 1, got 2.0"),
+        ({"workers": True}, "workers must be >= 1, got True"),
+        ({"workers": 2.0}, "workers must be >= 1, got 2.0"),
+    ],
+)
+def test_non_int_parameters_rejected_up_front(kwargs, message):
+    # bool is an int; refused before any check runs, not deep inside one
+    with pytest.raises(ValueError, match=message):
+        run_checks(**kwargs)
