@@ -12,11 +12,12 @@ either is wrong. Two things keep the rounding error controlled:
     b <= 300 the worst |exact - float| / tol(b) is 6.46e-8 with Kahan
     summation and with fsum alike.
 
-Per-modulus tables of cot(pi*m/b), sin(2*pi*j/b), its cube and cos(2*pi*j/b)
-are memoized for the last 8 moduli, which keeps repeated sums over the same b
-close to table lookup speed. Callers loop b on the outside, so only the most
-recent b is ever reused; the bound keeps a run over large moduli from holding
-more than 8 entries of about 13 MB each (b = 10^5).
+Each sum reads two O(b) float tables of its modulus, cot(pi*m/b) and the
+power of sin(2*pi*j/b) or cos(2*pi*j/b) it multiplies by, and builds only
+those. The last 8 (modulus, kind) tables are memoized, which keeps repeated
+sums over the same b close to table lookup speed. One table is b floats,
+about 3.2 MB at b = 10^5, so at that modulus the 8 tables hold about 26 MB
+at most.
 
 The comparison tolerance is tol(b) = 1e-9 * b**2: the largest table entry is
 cot(pi/b) ~ b/pi and sums have b-1 terms, so admissible rounding noise grows
@@ -75,20 +76,36 @@ def agrees(exact: Fraction, result: NumericResult, b: int) -> bool:
 
 
 # Every caller loops b on the outside (the battery's numeric checks, the
-# acceptance tests, one b per CLI call), so all reuse is of the most recent b:
-# the battery's 81k hits are repeats of it, and 64 entries gave no reuse
-# between checks (1,196 misses at both 64 and 8). One entry is four O(b) float
-# lists, about 13 MB at b = 10^5.
+# acceptance tests, one b per CLI call), so all reuse is of the most recent b.
+# run_checks(500, 2000, 42) makes 161,470 hits and 3,598 misses at every
+# maxsize from 2 to 8: each numeric check builds cot and its other tables once
+# per b. Unbounded it makes 2,691 misses (9 kinds for each b <= 300) but holds
+# every table. 8 lets a caller interleave cot with up to seven other tables of
+# one b without a rebuild. One table is b floats, about 3.2 MB at b = 10^5, so
+# the cache holds at most about 26 MB there.
 @lru_cache(maxsize=8)
-def _tables(b: int) -> tuple[list[float], list[float], list[float], list[float]]:
+def _tables(b: int, kind: str) -> list[float]:
+    """One trig table of modulus b, indexed by m (cot) or j (the rest) in [0, b-1].
+
+    kind is "cot" for cot(pi*m/b), "sin", "sin2" or "sin3" for powers of
+    sin(2*pi*j/b), or "cos<q>" for cos(2*pi*j/b)**q with q >= 1.
+    """
     check_modulus(b)
-    sin = [math.sin(_TWO_PI * j / b) for j in range(b)]
-    cos = [math.cos(_TWO_PI * j / b) for j in range(b)]
-    sin3 = [s * s * s for s in sin]
-    cot = [0.0]  # index 0 unused, cot(0) never appears
-    for m in range(1, b):
-        cot.append(math.cos(math.pi * m / b) / math.sin(math.pi * m / b))
-    return cot, sin, cos, sin3
+    if kind == "cot":
+        # index 0 unused, cot(0) never appears
+        return [0.0, *(math.cos(math.pi * m / b) / math.sin(math.pi * m / b) for m in range(1, b))]
+    if kind.startswith("cos"):
+        q = int(kind[3:])
+        return [math.cos(_TWO_PI * j / b) ** q for j in range(b)]
+    # the powers come straight from a generator of sines: no sin list is built
+    sines = (math.sin(_TWO_PI * j / b) for j in range(b))
+    if kind == "sin":
+        return list(sines)
+    if kind == "sin2":
+        return [s * s for s in sines]
+    if kind == "sin3":
+        return [s * s * s for s in sines]
+    raise ValueError(f"unknown table kind {kind!r}")
 
 
 def _term_bound(b: int, cot: list[float]) -> float:
@@ -108,8 +125,8 @@ def eval_float(n: int, a: int, b: int) -> NumericResult:
     """Brute-force S(n, a, b): sum of cot(pi*m/b) * sin(2*pi*m*n*a/b)**3."""
     check_positive("n", n)
     check_positive("a", a)
-    cot, _, _, sin3 = _tables(b)
-    s = _cot_sum(cot, sin3, n * a % b)
+    cot = _tables(b, "cot")
+    s = _cot_sum(cot, _tables(b, "sin3"), n * a % b)
     return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
 
 
@@ -121,8 +138,8 @@ def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
     """
     check_positive("n", n)
     check_positive("a", a)
-    cot, sin, _, _ = _tables(b)
-    s = _cot_sum(cot, [v * v for v in sin], n * a % b)
+    cot = _tables(b, "cot")
+    s = _cot_sum(cot, _tables(b, "sin2"), n * a % b)
     return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
 
 
@@ -134,8 +151,8 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
     check_positive("q", q)
     check_positive("n", n)
     check_positive("a", a)
-    cot, _, cos, _ = _tables(b)
-    s = _cot_sum(cot, [v**q for v in cos], n * a % b)
+    cot = _tables(b, "cot")
+    s = _cot_sum(cot, _tables(b, f"cos{q}"), n * a % b)
     return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
 
 
@@ -148,11 +165,12 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     """
     check_positive("n", n)
     check_positive("a", a)
-    cot, sin, _, _ = _tables(b)
+    check_modulus(b)
     r = n * a % b
     if r == 0:
         raise PreconditionError(f"{b} divides {n}*{a}; the sine sum degenerates")
-    s = _cot_sum(cot, sin, r)
+    cot = _tables(b, "cot")
+    s = _cot_sum(cot, _tables(b, "sin"), r)
     inner_bound = _term_bound(b, cot)
     return NumericResult(
         value=0.5 - s / (2.0 * b),

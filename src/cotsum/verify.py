@@ -634,6 +634,9 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     for label, value, least in (("max_b", max_b, 2), ("max_n", max_n, 1), ("workers", workers, 1)):
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ValueError(f"{label} must be >= {least}, got {value}")
+    # the report names the seed, so it must be the int that picked the stream
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     ctx = _Ctx(max_b=max_b, max_n=max_n, workers=workers, rng=random.Random(seed))
     results = [check(ctx) for check in _CHECKS]
     discrepancies = _expected_discrepancies()

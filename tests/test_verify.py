@@ -89,6 +89,9 @@ def test_bad_parameters_rejected():
         ({"max_n": 2.0}, "max_n must be >= 1, got 2.0"),
         ({"workers": True}, "workers must be >= 1, got True"),
         ({"workers": 2.0}, "workers must be >= 1, got 2.0"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"seed": "42"}, "seed must be an int, got '42'"),
     ],
 )
 def test_non_int_parameters_rejected_up_front(kwargs, message):
