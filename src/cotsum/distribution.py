@@ -18,6 +18,7 @@ other never looks at a single residue.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -96,7 +97,13 @@ def sweep(b: int) -> SweepReport:
 
 
 def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
-    """Sweep every b in [b_lo, b_hi] except 3, in order."""
+    """Sweep every b in [b_lo, b_hi] except 3, in order.
+
+    workers only schedules the work: a pool starts at most
+    min(workers, os.cpu_count(), number of moduli) processes, and a pool of
+    one, or a range of fewer than 4 moduli, runs in this process instead. The
+    rows are the same for every workers.
+    """
     check_modulus(b_lo)
     check_modulus(b_hi)
     if b_hi < b_lo:
@@ -104,10 +111,12 @@ def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
-    if workers == 1 or len(moduli) < 4:
+    processes = min(workers, os.cpu_count() or 1, len(moduli))
+    if processes == 1 or len(moduli) < 4:
         return [sweep(b) for b in moduli]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(moduli) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    chunk = max(1, len(moduli) // (processes * 4))
+    # a fork-context pool starts all max_workers processes at its first submit
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(sweep, moduli, chunksize=chunk))

@@ -1,25 +1,27 @@
 """Floating-point oracle for the cotangent sums.
 
 Everything here deliberately avoids the exact case analysis: sums are formed
-term by term from trig tables so they can disagree with the rational path if
+term by term from trig values so they can disagree with the rational path if
 either is wrong. Two things keep the rounding error controlled:
 
   * integer angle reduction: the angle 2*pi*m*n*a/b is reduced as the integer
     m*(n*a mod b) mod b before any float is formed, so precision does not
     degrade as n*a grows;
-  * correctly rounded `math.fsum` for every sum, in one helper. Table
-    rounding, not summation, sets the error: for n = 1, every residue and
-    b <= 300 the worst |exact - float| / tol(b) is 6.46e-8 with Kahan
-    summation and with fsum alike.
+  * correctly rounded `math.fsum` for every sum, in one helper. The rounding
+    of the trig values, not summation, sets the error: for n = 1, every
+    residue and b <= 300 the worst |exact - float| / tol(b) is 6.46e-8 with
+    Kahan summation and with fsum alike.
 
-Each sum reads two O(b) float tables of its modulus, cot(pi*m/b) and the
-power of sin(2*pi*j/b) or cos(2*pi*j/b) it multiplies by, and builds only
-those. The last 8 (modulus, kind) tables are memoized, which keeps repeated
-sums over the same b close to table lookup speed. One table is b floats,
-about 3.2 MB at b = 10^5, so at that modulus the 8 tables hold about 26 MB
-at most.
+Each sum multiplies cot(pi*m/b) by the power of sin(2*pi*j/b) or
+cos(2*pi*j/b) it needs. Up to b = _TABLE_MAX_B (4096) both factors come from
+memoized O(b) tables of the modulus, the last 8 (modulus, kind) tables, which
+keeps repeated sums over the same b close to table lookup speed; they hold
+about 1 MB at most. Above that limit each term is computed as the sum runs,
+so a one-off sum at a huge b holds no table at all. Both paths evaluate the
+same float expressions, so a sum gives the same bits on either side of the
+limit.
 
-The comparison tolerance is tol(b) = 1e-9 * b**2: the largest table entry is
+The comparison tolerance is tol(b) = 1e-9 * b**2: the largest cotangent is
 cot(pi/b) ~ b/pi and sums have b-1 terms, so admissible rounding noise grows
 about quadratically in b.
 """
@@ -27,9 +29,11 @@ about quadratically in b.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import PreconditionError
 from .exact import check_modulus, check_positive
@@ -75,59 +79,90 @@ def agrees(exact: Fraction, result: NumericResult, b: int) -> bool:
     return abs(float(exact) - result.value) <= tol(b)
 
 
+def _cots(b: int, ms: Iterable[int]) -> Iterator[float]:
+    """cot(pi*m/b) for each m in ms: the one expression both paths use."""
+    return (math.cos(math.pi * m / b) / math.sin(math.pi * m / b) for m in ms)
+
+
+def _powers(b: int, kind: str, ms: Iterable[int], r: int = 1) -> Iterator[float]:
+    """The `kind` factor at j = m*r mod b for each m in ms.
+
+    kind is "sin", "sin2" or "sin3" for a power of sin(2*pi*j/b), or "cos<q>"
+    for cos(2*pi*j/b)**q with q >= 1.
+    """
+    if kind.startswith("cos"):
+        q = int(kind[3:])
+        return (math.cos(_TWO_PI * (m * r % b) / b) ** q for m in ms)
+    # the powers come straight from a generator of sines: no sin list is built
+    sines = (math.sin(_TWO_PI * (m * r % b) / b) for m in ms)
+    if kind == "sin":
+        return sines
+    if kind == "sin2":
+        return (s * s for s in sines)
+    if kind == "sin3":
+        return (s * s * s for s in sines)
+    raise ValueError(f"unknown table kind {kind!r}")
+
+
+# Moduli up to _TABLE_MAX_B read cached tables; above it every term is
+# computed as the sum runs and no O(b) list is held. The largest table is
+# 4096 floats, about 130 KB, so the 8 cached tables hold about 1 MB at worst,
+# and a cold `cotsum eval` at b = 4096 peaks at about 16.2 MB of RSS, as one
+# at b = 101 does (one at b = 99,991 peaked at 23.6 MB when every b had
+# tables). The trade-off: many sums at one modulus above the limit recompute
+# their trig every time. At b = 99,991 a streamed sum takes about 92 ms and
+# one over warm tables about 22 ms (shared 2-vCPU x86-64 host, Python 3.11);
+# a cold one over freshly built tables took about 97 ms. Nothing in the
+# battery or the tests sums repeatedly above the limit: the battery stops at
+# b = 300 and a CLI call makes one sum.
+_TABLE_MAX_B = 4096
+
+
 # Every caller loops b on the outside (the battery's numeric checks, the
 # acceptance tests, one b per CLI call), so all reuse is of the most recent b.
 # run_checks(500, 2000, 42) makes 161,470 hits and 3,598 misses at every
 # maxsize from 2 to 8: each numeric check builds cot and its other tables once
 # per b. Unbounded it makes 2,691 misses (9 kinds for each b <= 300) but holds
 # every table. 8 lets a caller interleave cot with up to seven other tables of
-# one b without a rebuild. One table is b floats, about 3.2 MB at b = 10^5, so
-# the cache holds at most about 26 MB there.
+# one b without a rebuild.
 @lru_cache(maxsize=8)
 def _tables(b: int, kind: str) -> list[float]:
-    """One trig table of modulus b, indexed by m (cot) or j (the rest) in [0, b-1].
+    """One trig table of modulus b <= _TABLE_MAX_B, indexed by m (cot) or j (the rest) in [0, b-1].
 
-    kind is "cot" for cot(pi*m/b), "sin", "sin2" or "sin3" for powers of
-    sin(2*pi*j/b), or "cos<q>" for cos(2*pi*j/b)**q with q >= 1.
+    kind is "cot" for cot(pi*m/b) or one of the factor kinds of `_powers`.
     """
     check_modulus(b)
+    if b > _TABLE_MAX_B:
+        raise ValueError(f"no table above b = {_TABLE_MAX_B}, got {b}; such sums are streamed")
     if kind == "cot":
-        # index 0 unused, cot(0) never appears
-        return [0.0, *(math.cos(math.pi * m / b) / math.sin(math.pi * m / b) for m in range(1, b))]
-    if kind.startswith("cos"):
-        q = int(kind[3:])
-        return [math.cos(_TWO_PI * j / b) ** q for j in range(b)]
-    # the powers come straight from a generator of sines: no sin list is built
-    sines = (math.sin(_TWO_PI * j / b) for j in range(b))
-    if kind == "sin":
-        return list(sines)
-    if kind == "sin2":
-        return [s * s for s in sines]
-    if kind == "sin3":
-        return [s * s * s for s in sines]
-    raise ValueError(f"unknown table kind {kind!r}")
+        return [0.0, *_cots(b, range(1, b))]  # index 0 unused, cot(0) never appears
+    return list(_powers(b, kind, range(b)))
 
 
-def _term_bound(b: int, cot: list[float]) -> float:
+def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
+    """Correctly rounded sum of cot(pi*m/b) times the `kind` factor at m*na mod b, m in [1, b-1]."""
+    check_modulus(b)
+    r = na % b
+    if b <= _TABLE_MAX_B:
+        cot = _tables(b, "cot")
+        table = _tables(b, kind)
+        # a generator, not a list: the terms are never held together
+        s = math.fsum(cot[m] * table[m * r % b] for m in range(1, b))
+        cot1 = cot[1]
+    else:
+        ms = range(1, b)
+        s = math.fsum(map(mul, _cots(b, ms), _powers(b, kind, ms, r)))
+        cot1 = next(_cots(b, (1,)))
     # |cot(pi*m/b)| peaks at m=1 and the other factor is at most 1,
     # so (b-1)*cot(pi/b) dominates the sum of |terms|, hence every partial sum
-    return (b - 1) * abs(cot[1])
-
-
-def _cot_sum(cot: list[float], table: list[float], r: int) -> float:
-    """Correctly rounded sum of cot(pi*m/b) * table[m*r mod b] for m in [1, b-1]."""
-    b = len(cot)
-    # a generator, not a list: at b = 10^5 a list of the terms costs 3 MB
-    return math.fsum(cot[m] * table[m * r % b] for m in range(1, b))
+    return NumericResult(value=s, term_count=b - 1, abs_bound=(b - 1) * abs(cot1))
 
 
 def eval_float(n: int, a: int, b: int) -> NumericResult:
     """Brute-force S(n, a, b): sum of cot(pi*m/b) * sin(2*pi*m*n*a/b)**3."""
     check_positive("n", n)
     check_positive("a", a)
-    cot = _tables(b, "cot")
-    s = _cot_sum(cot, _tables(b, "sin3"), n * a % b)
-    return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
+    return _cot_sum(b, "sin3", n * a)
 
 
 def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
@@ -138,9 +173,7 @@ def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
     """
     check_positive("n", n)
     check_positive("a", a)
-    cot = _tables(b, "cot")
-    s = _cot_sum(cot, _tables(b, "sin2"), n * a % b)
-    return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
+    return _cot_sum(b, "sin2", n * a)
 
 
 def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
@@ -151,9 +184,7 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
     check_positive("q", q)
     check_positive("n", n)
     check_positive("a", a)
-    cot = _tables(b, "cot")
-    s = _cot_sum(cot, _tables(b, f"cos{q}"), n * a % b)
-    return NumericResult(value=s, term_count=b - 1, abs_bound=_term_bound(b, cot))
+    return _cot_sum(b, f"cos{q}", n * a)
 
 
 def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
@@ -169,11 +200,9 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     r = n * a % b
     if r == 0:
         raise PreconditionError(f"{b} divides {n}*{a}; the sine sum degenerates")
-    cot = _tables(b, "cot")
-    s = _cot_sum(cot, _tables(b, "sin"), r)
-    inner_bound = _term_bound(b, cot)
+    inner = _cot_sum(b, "sin", r)
     return NumericResult(
-        value=0.5 - s / (2.0 * b),
+        value=0.5 - inner.value / (2.0 * b),
         term_count=b - 1,
-        abs_bound=max(inner_bound, 0.5 + inner_bound / (2.0 * b)),
+        abs_bound=max(inner.abs_bound, 0.5 + inner.abs_bound / (2.0 * b)),
     )

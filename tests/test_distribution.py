@@ -1,7 +1,10 @@
 """Per-modulus value distribution and its closed-form prediction."""
 
+import concurrent.futures
+
 import pytest
 
+from cotsum import distribution
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
 from cotsum.errors import PreconditionError
 from cotsum.totient import RangeBound, euler_phi, phi_range_direct
@@ -79,6 +82,40 @@ def test_sweep_range_parallel_matches_serial():
     serial = sweep_range(2, 200)
     parallel = sweep_range(2, 200, workers=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,b_hi,started",
+    [
+        (100_000, 4, 50, [4]),  # capped by the CPU count
+        (100_000, 64, 6, [4]),  # capped by the moduli 2, 4, 5, 6
+        (3, 64, 50, [3]),  # workers is the smallest
+        (100_000, 1, 50, []),  # one process: no pool at all
+        (100_000, None, 50, []),  # an unknown CPU count counts as one
+    ],
+)
+def test_sweep_range_starts_at_most_one_process_per_cpu_and_modulus(monkeypatch, workers, cpus, b_hi, started):
+    # a stand-in pool records max_workers and maps in this process, so no
+    # process is ever started however large workers is
+    recorded = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
+    assert sweep_range(2, b_hi, workers=workers) == sweep_range(2, b_hi)
+    assert recorded == started
 
 
 def test_closed_form_counts_match_gcd_scan():

@@ -10,6 +10,7 @@ from cotsum.errors import PreconditionError
 from cotsum.exact import frac_part
 from cotsum.core import eval_exact
 from cotsum.numeric import (
+    _TABLE_MAX_B,
     NumericResult,
     _tables,
     agrees,
@@ -137,23 +138,37 @@ def test_tables_cache_holds_eight_tables_and_rebuilds_evicted_ones_unchanged():
 
 
 def test_cold_eval_float_builds_only_its_two_tables():
-    b = 10**5
+    # above the limit every term is computed as the sum runs: no table at all
     _tables.cache_clear()
     tracemalloc.start()
     try:
-        eval_float(1, 7, b)
+        eval_float(1, 7, 10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert _tables.cache_info().currsize == 0
+    assert _tables.cache_info().misses == 0
+    # the two tables a tabled sum at 10^5 would build trace 6.1 MiB
+    assert peak < 64 * 2**10, peak
+    # at the limit a cold call still builds exactly the two tables it reads
+    b = _TABLE_MAX_B
+    eval_float(1, 7, b)
     info = _tables.cache_info()
     assert info.currsize == 2
     _tables(b, "cot")
     _tables(b, "sin3")
     assert _tables.cache_info().hits == info.hits + 2
     assert _tables.cache_info().misses == info.misses
-    # two tables of 10^5 floats trace about 6.1 MiB; the four tables built
-    # when one cache entry held cot, sin, cos and sin^3 traced 12.2 MiB
-    assert peak < 8 * 2**20, peak
+    _tables.cache_clear()
+
+
+def test_tables_refuse_moduli_above_the_limit():
+    _tables.cache_clear()
+    assert len(_tables(_TABLE_MAX_B, "cot")) == _TABLE_MAX_B
+    for kind in ("cot", "sin3", "cos2"):
+        with pytest.raises(ValueError, match="no table above"):
+            _tables(_TABLE_MAX_B + 1, kind)
+    assert _tables.cache_info().currsize == 1
     _tables.cache_clear()
 
 
@@ -173,18 +188,36 @@ def _sin3(t):
     return math.sin(t) * math.sin(t) * math.sin(t)
 
 
+def _assert_literal(n, a, b):
+    """All four sums at (n, a, b), q <= 5, equal their literal fsum and (b-1)*cot(pi/b) bound."""
+    r = n * a % b
+    bound = (b - 1) * abs(math.cos(math.pi / b) / math.sin(math.pi / b))
+    pairs = [
+        (eval_float(n, a, b), _literal_sum(b, r, _sin3)),
+        (cot_sin2_sum(n, a, b), _literal_sum(b, r, _sin2)),
+    ]
+    for q in range(1, 6):
+        pairs.append((cot_cos_power_sum(q, n, a, b), _literal_sum(b, r, lambda t: math.cos(t) ** q)))
+    for got, want in pairs:
+        assert (got.value, got.abs_bound) == (want, bound), (n, a, b)
+    if r:
+        got = frac_part_via_sine_sum(n, a, b)
+        want = 0.5 - _literal_sum(b, r, math.sin) / (2.0 * b)
+        assert (got.value, got.abs_bound) == (want, max(bound, 0.5 + bound / (2.0 * b))), (n, a, b)
+
+
 def test_float_sums_are_bit_identical_to_a_literal_fsum():
-    # ==, not a tolerance: the CLI's `float` field prints this value
+    # ==, not a tolerance: the CLI's `float` field prints this value, and the
+    # tabled and the streamed path must give the same bits
     for b in range(2, 61):
         for r in range(b):
-            a = r or b  # a = b reaches residue 0
-            assert eval_float(1, a, b).value == _literal_sum(b, r, _sin3), (a, b)
-            assert cot_sin2_sum(1, a, b).value == _literal_sum(b, r, _sin2), (a, b)
-            for q in range(1, 6):
-                want = _literal_sum(b, r, lambda t: math.cos(t) ** q)
-                assert cot_cos_power_sum(q, 1, a, b).value == want, (q, a, b)
-            if r:
-                want = 0.5 - _literal_sum(b, r, math.sin) / (2.0 * b)
-                assert frac_part_via_sine_sum(1, a, b).value == want, (a, b)
-    n, a, b = 3, 10**9 + 7, 99991
-    assert eval_float(n, a, b).value == _literal_sum(b, n * a % b, _sin3)
+            _assert_literal(1, r or b, b)  # a = b reaches residue 0
+    limit = _TABLE_MAX_B
+    for n, a, b in [
+        (1, 7, limit),  # the largest tabled modulus
+        (1, 1024, limit),
+        (1, 7, limit + 1),  # the smallest streamed one
+        (1, 6, limit + 2),  # streamed, gcd(6, 4098) = 6
+        (3, 10**9 + 7, 99991),
+    ]:
+        _assert_literal(n, a, b)
