@@ -49,26 +49,6 @@ def _precondition(command: str, inputs: dict, exc: Exception) -> int:
     return 3
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _modulus(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"modulus must be >= 2, got {text!r}")
-    return value
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -242,39 +222,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate S(n, a, b) exactly, in floats, or both")
-    p.add_argument("-n", type=_positive_int, required=True, help="outer multiplier n")
-    p.add_argument("-a", type=_positive_int, required=True, help="numerator a")
-    p.add_argument("-b", type=_modulus, required=True, help="modulus b >= 2")
+    p.add_argument("-n", type=int, required=True, help="outer multiplier n")
+    p.add_argument("-a", type=int, required=True, help="numerator a")
+    p.add_argument("-b", type=int, required=True, help="modulus b >= 2")
     p.add_argument("--mode", choices=("exact", "float", "both"), default="both")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="tag S(1, a, b) and report its congruence witness")
-    p.add_argument("-a", type=_positive_int, required=True, help="numerator a")
-    p.add_argument("-b", type=_modulus, required=True, help="modulus b >= 2")
+    p.add_argument("-a", type=int, required=True, help="numerator a")
+    p.add_argument("-b", type=int, required=True, help="modulus b >= 2")
     p.add_argument("--strict", action="store_true", help="reject b = 3 and non-coprime a")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="tabulate the value distribution for a range of moduli")
-    p.add_argument("b_lo", type=_modulus)
-    p.add_argument("b_hi", type=_modulus)
+    p.add_argument("b_lo", type=int)
+    p.add_argument("b_hi", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path, - for stdout")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("totient", help="count coprime integers in a rational range")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=int)
     p.add_argument("lo", type=_rational)
     p.add_argument("hi", type=_rational)
     p.add_argument("--method", choices=("direct", "mobius", "approx", "all"), default="all")
     p.set_defaults(func=cmd_totient)
 
     p = sub.add_parser("verify", help="run the identity battery and write a JSON report")
-    p.add_argument("--max-b", type=_modulus, default=100)
-    p.add_argument("--max-n", type=_positive_int, default=500)
+    p.add_argument("--max-b", type=int, default=100)
+    p.add_argument("--max-n", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default="-", help="report path, - for stdout")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import _kernel, _tag
-from .errors import PreconditionError
-from .exact import check_modulus
+from .errors import PreconditionError, check_int
 from .totient import RangeBound, euler_phi, phi_range_mobius
 
 __all__ = ["SweepReport", "closed_form_counts", "sweep", "sweep_range"]
@@ -60,7 +59,7 @@ def _interval_phi(b: int, lo: int, hi: int) -> int:
 
 def closed_form_counts(b: int) -> tuple[int, int, int]:
     """(zero, plus, minus) counts predicted by the interval picture."""
-    check_modulus(b)
+    check_int("modulus b", b, 2)
     if b == 3:
         raise PreconditionError("the interval picture excludes b = 3")
     zero = _interval_phi(b, (b + 3) // 3, (2 * b - 1) // 3)  # ceil((b+1)/3) = (b+3)//3
@@ -71,7 +70,7 @@ def closed_form_counts(b: int) -> tuple[int, int, int]:
 
 def sweep(b: int) -> SweepReport:
     """Classify every coprime a in [1, b-1] and compare with the closed forms."""
-    check_modulus(b)
+    check_int("modulus b", b, 2)
     if b == 3:
         raise PreconditionError("b = 3 has no three-way split to sweep")
     counts = [0, 0, 0, 0]  # indexed by core._tag: zero, plus, minus, other
@@ -104,12 +103,9 @@ def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     one, or a range of fewer than 4 moduli, runs in this process instead. The
     rows are the same for every workers.
     """
-    check_modulus(b_lo)
-    check_modulus(b_hi)
-    if b_hi < b_lo:
-        raise ValueError(f"empty sweep range: {b_lo}..{b_hi}")
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_int("modulus b_lo", b_lo, 2)
+    check_int("modulus b_hi", b_hi, b_lo)
+    check_int("workers", workers, 1)
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
     processes = min(workers, os.cpu_count() or 1, len(moduli))
     if processes == 1 or len(moduli) < 4:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import check_int
+
 __all__ = [
     "BoundaryCount",
     "frac_part",
@@ -25,23 +27,12 @@ __all__ = [
 ]
 
 
-def check_modulus(b: int) -> None:
-    if isinstance(b, bool) or not isinstance(b, int) or b < 2:
-        raise ValueError(f"modulus b must be an integer >= 2, got {b!r}")
-
-
-def check_positive(name: str, value: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _check_window(n: int, a: int, b: int, k: int) -> None:
     """The argument checks of a window (n*a, n*a + k] modulo b."""
-    check_positive("n", n)
-    check_positive("a", a)
-    check_modulus(b)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"window length k must be a non-negative integer, got {k!r}")
+    check_int("n", n, 1)
+    check_int("a", a, 1)
+    check_int("modulus b", b, 2)
+    check_int("window length k", k, 0)
 
 
 @dataclass(frozen=True)
@@ -72,9 +63,9 @@ class BoundaryCount:
 
 def frac_part(n: int, a: int, b: int) -> Fraction:
     """Fractional part {n*a/b} as an exact Fraction in [0, 1)."""
-    check_positive("n", n)
-    check_positive("a", a)
-    check_modulus(b)
+    check_int("n", n, 1)
+    check_int("a", a, 1)
+    check_int("modulus b", b, 2)
     return Fraction(n * a % b, b)
 
 

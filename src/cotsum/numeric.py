@@ -19,7 +19,8 @@ keeps repeated sums over the same b close to table lookup speed; they hold
 about 1 MB at most. Above that limit each term is computed as the sum runs,
 so a one-off sum at a huge b holds no table at all. Both paths evaluate the
 same float expressions, so a sum gives the same bits on either side of the
-limit.
+limit. Time grows with b on both paths, so every sum refuses a modulus above
+_FLOAT_MAX_B (10^7, about 8 s) with a ValueError naming the limit.
 
 The comparison tolerance is tol(b) = 1e-9 * b**2: the largest cotangent is
 cot(pi/b) ~ b/pi and sums have b-1 terms, so admissible rounding noise grows
@@ -35,8 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import PreconditionError
-from .exact import check_modulus, check_positive
+from .errors import PreconditionError, check_int
 
 __all__ = [
     "NumericResult",
@@ -70,7 +70,7 @@ class NumericResult:
 
 def tol(b: int) -> float:
     """Comparison tolerance for modulus b."""
-    check_modulus(b)
+    check_int("modulus b", b, 2)
     return 1e-9 * b * b
 
 
@@ -117,6 +117,13 @@ def _powers(b: int, kind: str, ms: Iterable[int], r: int = 1) -> Iterator[float]
 # b = 300 and a CLI call makes one sum.
 _TABLE_MAX_B = 4096
 
+# A float sum takes time in proportion to b, so every sum refuses a modulus
+# above _FLOAT_MAX_B before it computes a term. The worst case at the limit,
+# eval_float(1, 7, 10**7) (the sine cube is the dearest factor), took 8.0 s
+# (shared 2-vCPU x86-64 host, Python 3.11); b = 10**9 would have taken about
+# 13 minutes. The exact value has no such limit.
+_FLOAT_MAX_B = 10**7
+
 
 # Every caller loops b on the outside (the battery's numeric checks, the
 # acceptance tests, one b per CLI call), so all reuse is of the most recent b.
@@ -131,7 +138,7 @@ def _tables(b: int, kind: str) -> list[float]:
 
     kind is "cot" for cot(pi*m/b) or one of the factor kinds of `_powers`.
     """
-    check_modulus(b)
+    check_int("modulus b", b, 2)
     if b > _TABLE_MAX_B:
         raise ValueError(f"no table above b = {_TABLE_MAX_B}, got {b}; such sums are streamed")
     if kind == "cot":
@@ -139,9 +146,15 @@ def _tables(b: int, kind: str) -> list[float]:
     return list(_powers(b, kind, range(b)))
 
 
+def _check_sum_modulus(b: int) -> None:
+    check_int("modulus b", b, 2)
+    if b > _FLOAT_MAX_B:
+        raise ValueError(f"a float sum takes modulus b <= {_FLOAT_MAX_B}, got {b}")
+
+
 def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
     """Correctly rounded sum of cot(pi*m/b) times the `kind` factor at m*na mod b, m in [1, b-1]."""
-    check_modulus(b)
+    _check_sum_modulus(b)
     r = na % b
     if b <= _TABLE_MAX_B:
         cot = _tables(b, "cot")
@@ -160,8 +173,8 @@ def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
 
 def eval_float(n: int, a: int, b: int) -> NumericResult:
     """Brute-force S(n, a, b): sum of cot(pi*m/b) * sin(2*pi*m*n*a/b)**3."""
-    check_positive("n", n)
-    check_positive("a", a)
+    check_int("n", n, 1)
+    check_int("a", a, 1)
     return _cot_sum(b, "sin3", n * a)
 
 
@@ -171,8 +184,8 @@ def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
     The m -> b-m flip negates the cotangent and fixes the squared sine, so
     terms cancel in pairs. Returned unsimplified as a cancellation probe.
     """
-    check_positive("n", n)
-    check_positive("a", a)
+    check_int("n", n, 1)
+    check_int("a", a, 1)
     return _cot_sum(b, "sin2", n * a)
 
 
@@ -181,9 +194,9 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
 
     Same pairing as cot_sin2_sum: cosine is even under m -> b-m, cotangent odd.
     """
-    check_positive("q", q)
-    check_positive("n", n)
-    check_positive("a", a)
+    check_int("q", q, 1)
+    check_int("n", n, 1)
+    check_int("a", a, 1)
     return _cot_sum(b, f"cos{q}", n * a)
 
 
@@ -194,9 +207,9 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     j = n*a mod b, which needs b to not divide n*a. Compare against
     frac_part(n, a, b) within tol(b).
     """
-    check_positive("n", n)
-    check_positive("a", a)
-    check_modulus(b)
+    check_int("n", n, 1)
+    check_int("a", a, 1)
+    _check_sum_modulus(b)  # the limit comes before the precondition
     r = n * a % b
     if r == 0:
         raise PreconditionError(f"{b} divides {n}*{a}; the sine sum degenerates")

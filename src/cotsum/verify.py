@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import core, distribution, exact, numeric, totient
+from .errors import check_int
 from .totient import RangeBound
 
 __all__ = ["CheckResult", "run_checks"]
@@ -631,12 +632,11 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     The report depends only on (max_b, max_n, seed); workers only changes how
     the sweep check is scheduled, never its content or ordering.
     """
-    for label, value, least in (("max_b", max_b, 2), ("max_n", max_n, 1), ("workers", workers, 1)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"{label} must be >= {least}, got {value}")
+    check_int("max_b", max_b, 2)
+    check_int("max_n", max_n, 1)
+    check_int("workers", workers, 1)
     # the report names the seed, so it must be the int that picked the stream
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    check_int("seed", seed)
     ctx = _Ctx(max_b=max_b, max_n=max_n, workers=workers, rng=random.Random(seed))
     results = [check(ctx) for check in _CHECKS]
     discrepancies = _expected_discrepancies()

@@ -1,9 +1,22 @@
-"""End-to-end CLI runs through a real subprocess: formats and exit codes."""
+"""End-to-end CLI runs through a real subprocess: formats and exit codes.
 
+The last section calls `cli.main` in this process instead, where a
+subprocess per case would be too slow: the two resource ceilings and a
+property over arbitrary operands.
+"""
+
+import contextlib
+import io
 import json
 
 import pytest
 from conftest import run_cotsum
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cotsum import cli
+from cotsum.numeric import _FLOAT_MAX_B
+from cotsum.totient import _SCAN_MAX
 
 
 def run_cli(*args: str):
@@ -220,3 +233,86 @@ def test_verify_stdout_report_parses():
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["failed"] == 0
+
+
+# --- in process: ceilings and a property over main ---------------------------
+
+
+def main_in_process(*argv: str) -> tuple[int, str]:
+    """(exit code, stdout) of cli.main(argv); argparse's SystemExit counts as its code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("mode,want", [("exact", 0), ("float", 2), ("both", 2)])
+def test_eval_over_the_float_ceiling(mode, want):
+    code, out = main_in_process("eval", "-n", "1", "-a", "7", "-b", str(_FLOAT_MAX_B + 1), "--mode", mode)
+    assert code == want
+    if want == 0:
+        assert json.loads(out)["outputs"] == {"exact": "10000001/2"}  # +b/2: 7 <= (b-1)/3
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("method,want", [("direct", 2), ("all", 2), ("mobius", 0), ("approx", 0)])
+def test_totient_over_the_scan_ceiling(method, want):
+    code, out = main_in_process("totient", "6", "1", str(_SCAN_MAX + 1), "--method", method)
+    assert code == want
+    assert (out == "") == (want == 2)
+
+
+# operands: small valid ints, the values just over the two ceilings, and, for
+# about one argument in five, text every int argument must refuse or an int
+# one below its bound
+JUNK = st.sampled_from(["0", "-3", "True", "1.5", "x", "1/0", ""])
+
+
+def _or_junk(valid, junk=JUNK):
+    return st.integers(0, 4).flatmap(lambda i: valid if i else junk)
+
+
+def _ints(lo, hi):
+    return _or_junk(st.integers(lo, hi).map(str), JUNK | st.just(str(lo - 1)))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["eval", "classify", "totient", "sweep"]))
+    if command == "eval":
+        b = draw(_ints(2, 5000) if draw(st.integers(0, 4)) else st.just(str(_FLOAT_MAX_B + 1)))
+        mode = draw(st.sampled_from(["exact", "float", "both"]))
+        n, a = draw(_ints(1, 10**12)), draw(_ints(1, 10**12))
+        return ["eval", "-n", n, "-a", a, "-b", b, "--mode", mode]
+    if command == "classify":
+        argv = ["classify", "-a", draw(_ints(1, 10**12)), "-b", draw(_ints(2, 5000))]
+        return argv + (["--strict"] if draw(st.booleans()) else [])
+    if command == "totient":
+        lo = draw(st.integers(1, 10**6))
+        # hi = lo + width + extra/den: the range holds width + 1 integers
+        width = draw(st.integers(0, 10**4) if draw(st.integers(0, 4)) else st.just(_SCAN_MAX))
+        den = draw(st.sampled_from([1, 1, 2, 3]))
+        hi = str((lo + width) * den + draw(st.integers(0, den - 1))) + ("" if den == 1 else f"/{den}")
+        method = draw(st.sampled_from(["direct", "mobius", "approx", "all"]))
+        lo_text, hi_text = draw(_or_junk(st.just(str(lo)))), draw(_or_junk(st.just(hi)))
+        return ["totient", draw(_ints(1, 10**6)), lo_text, hi_text, "--method", method]
+    b_lo = draw(st.integers(2, 40))
+    b_hi = draw(_ints(b_lo, b_lo + 20))
+    workers = draw(_or_junk(st.just("1")))
+    return ["sweep", str(b_lo), b_hi, "--format", "json", "--workers", workers]
+
+
+@settings(max_examples=250, deadline=None)
+@given(argvs())
+def test_main_exits_0_to_4_with_one_json_document_or_none(argv):
+    code, out = main_in_process(*argv)
+    assert code in range(5)
+    if code == 2:
+        assert out == ""  # refused before anything was written
+    else:
+        doc = json.loads(out)  # exactly one JSON document, or this raises
+        assert isinstance(doc, list if argv[0] == "sweep" else dict)

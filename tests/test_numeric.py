@@ -10,6 +10,7 @@ from cotsum.errors import PreconditionError
 from cotsum.exact import frac_part
 from cotsum.core import eval_exact
 from cotsum.numeric import (
+    _FLOAT_MAX_B,
     _TABLE_MAX_B,
     NumericResult,
     _tables,
@@ -170,6 +171,25 @@ def test_tables_refuse_moduli_above_the_limit():
             _tables(_TABLE_MAX_B + 1, kind)
     assert _tables.cache_info().currsize == 1
     _tables.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: eval_float(1, 7, b),
+        lambda b: cot_sin2_sum(1, 7, b),
+        lambda b: cot_cos_power_sum(3, 1, 7, b),
+        lambda b: frac_part_via_sine_sum(1, 7, b),
+        lambda b: frac_part_via_sine_sum(1, b, b),  # b | na: the limit comes first
+    ],
+    ids=["eval_float", "cot_sin2_sum", "cot_cos_power_sum", "frac_part_via_sine_sum", "sine_sum_degenerate"],
+)
+def test_float_sums_refuse_moduli_above_the_ceiling(call):
+    # only just over the limit: a sum at the limit itself takes seconds
+    _tables.cache_clear()
+    with pytest.raises(ValueError, match=f"modulus b <= {_FLOAT_MAX_B}, got {_FLOAT_MAX_B + 1}"):
+        call(_FLOAT_MAX_B + 1)
+    assert _tables.cache_info().misses == 0  # refused before any term or table
 
 
 def _literal_sum(b, r, factor):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cotsum.errors import PreconditionError
 from cotsum.totient import (
+    _SCAN_MAX,
     ArithmeticProfile,
     PhiApproximation,
     RangeBound,
@@ -381,3 +382,48 @@ def test_input_validation():
         euler_phi(0)
     with pytest.raises(ValueError):
         phi_range_direct(6, RangeBound(Fraction(-3), Fraction(2)))
+
+
+def test_gcd_scans_refuse_ranges_over_the_ceiling():
+    # only just over the limit: a scan at the limit itself takes seconds
+    over = f"at most {_SCAN_MAX} integers, got {_SCAN_MAX + 1}"
+    with pytest.raises(ValueError, match=over):
+        phi_range_direct(6, RangeBound(1, _SCAN_MAX + 1))
+    with pytest.raises(ValueError, match=over):
+        phi_range_direct(6, RangeBound("1/2", f"{2 * _SCAN_MAX + 3}/2"))  # integers 1 .. _SCAN_MAX + 1
+    with pytest.raises(ValueError, match=over):
+        coprime_sum(_SCAN_MAX + 2, 1, _SCAN_MAX + 1)
+    with pytest.raises(ValueError, match=over):
+        coprime_sum(6, 5, _SCAN_MAX + 5, strict=False)
+    # the Mobius route counts the same range without scanning it: the
+    # integers coprime to 6 are those = 1 or 5 mod 6
+    top = _SCAN_MAX + 1
+    assert phi_range_mobius(6, RangeBound(1, top)) == 2 * (top // 6) + (top % 6 >= 1) + (top % 6 >= 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RangeBound("1/0", 3),
+        lambda: RangeBound(1, "3/0"),
+        lambda: RangeBound("x", 3),
+        lambda: legendre_phi(6, "1/0"),
+    ],
+    ids=["lo-1/0", "hi-3/0", "lo-x", "prefix-1/0"],
+)
+def test_malformed_endpoint_text_raises_value_error(call):
+    with pytest.raises(ValueError, match="must be a rational number"):
+        call()
+
+
+def test_profile_cache_answers_only_for_ints():
+    # 2.0 == 2 and True == 1, but lru_cache keys a lone int by itself and
+    # anything else by a tuple, so they miss the cached profiles of 2 and 1
+    # and reach the argument check
+    arithmetic_profile(1)
+    arithmetic_profile(2)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            arithmetic_profile(n)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            euler_phi(n)
