@@ -16,6 +16,10 @@ def check_int(what: str, value: object, least: int | None = None) -> None:
     bool is an int but never stands for a count, so it is refused too; a
     float, str or Fraction is refused even when it holds a whole number.
     """
+    # an exact int in range (5.8 M calls per battery) skips the isinstance
+    # chain; anything else, int subclasses included, takes the rule below
+    if type(value) is int and (least is None or value >= least):
+        return
     if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{what} must be an integer{bound}, got {value!r}")

@@ -16,10 +16,11 @@ off that kernel: they are the independent routes the others are checked
 against. The two gcd scans, phi_range_direct and coprime_sum, refuse a range
 of more than _SCAN_MAX (10^7) integers with a ValueError naming the limit.
 
-Every count starts from n's factorization, `arithmetic_profile(n)`, memoized
-for the last 1024 distinct n: callers ask for one n many times in a row, so
-that keeps every repeat a hit while a loop over millions of n stays at about
-1 MB of profiles instead of growing without limit (about 0.9 KB per n).
+Every other count starts from n's factorization, `arithmetic_profile(n)`,
+which refuses n above _FACTOR_MAX (10^14) and is memoized for the last 1024
+distinct n: callers ask for one n many times in a row, so that keeps every
+repeat a hit while a loop over millions of n stays at about 1 MB of profiles
+instead of growing without limit (about 0.9 KB per n).
 
 On top of those: the main-term approximation with its explicit 2 * 2^omega(n)
 error bound, a divisor-level partition of a range by gcd, and the paired sum
@@ -76,9 +77,17 @@ def _check_scan(lo: int, hi: int) -> None:
         raise ValueError(f"a gcd scan covers at most {_SCAN_MAX} integers, got {hi - lo + 1} in [{lo}, {hi}]")
 
 
+# Every count but the gcd scans starts from n's factorization, by trial
+# division up to sqrt(n), so arithmetic_profile refuses n above _FACTOR_MAX
+# before it factorizes. The worst case is a prime: 999,999,999,989 took
+# 0.03-0.06 s and 99,999,999,999,973, just under the limit, 0.28-0.51 s
+# (shared 2-vCPU x86-64 host, Python 3.11); the time grows with sqrt(n), so
+# a prime near 10^18 would take about half a minute.
+_FACTOR_MAX = 10**14
+
+
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    # trial division; n stays small here (profiles are built up to ~10^4,
-    # occasionally for n in the low millions) so no fancier sieve is needed
+    # trial division: n <= _FACTOR_MAX keeps it under a second
     out = []
     for p in (2, 3):
         e = 0
@@ -149,8 +158,13 @@ class ArithmeticProfile:
 # add about 0.03 s; a hit costs the same 0.1 us bounded or not.
 @lru_cache(maxsize=1024)
 def arithmetic_profile(n: int) -> ArithmeticProfile:
-    """Factorization-derived data for n, memoized for the last 1024 distinct n."""
+    """Factorization-derived data for n, memoized for the last 1024 distinct n.
+
+    n is at most _FACTOR_MAX (10^14); a larger n raises ValueError.
+    """
     check_int("n", n, 1)
+    if n > _FACTOR_MAX:
+        raise ValueError(f"factorizing takes n <= {_FACTOR_MAX}, got {n}")
     pp = _factorize(n)
     phi = n
     for p, _ in pp:
@@ -300,9 +314,12 @@ def legendre_phi(n: int, x: RationalLike) -> int:
     x is taken as an int, str or Fraction, like a `RangeBound` endpoint.
     """
     check_int("n", n, 1)
-    if not isinstance(x, Fraction):
-        x = _endpoint(x, "prefix bound")
-    num, den = x.numerator, x.denominator
+    if type(x) is int:  # the common case reads as x/1 without a Fraction
+        num, den = x, 1
+    else:
+        if not isinstance(x, Fraction):
+            x = _endpoint(x, "prefix bound")
+        num, den = x.numerator, x.denominator
     if num < 0:
         raise ValueError(f"prefix bound must be >= 0, got {x}")
     total = 0

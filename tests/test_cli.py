@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cotsum import cli
 from cotsum.numeric import _FLOAT_MAX_B
-from cotsum.totient import _SCAN_MAX
+from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
 
 def run_cli(*args: str):
@@ -61,6 +61,7 @@ def test_eval_float_only():
         ("eval", "-n", "1", "-a", "1"),  # missing -b
         ("eval", "-n", "x", "-a", "1", "-b", "4"),  # not an integer
         ("sweep", "2"),  # missing endpoint
+        ("sweep", "2", "10000000000"),  # over the residue ceiling
         ("totient", "6", "1/0", "3"),  # zero denominator
         ("nonsense",),
     ],
@@ -266,7 +267,23 @@ def test_totient_over_the_scan_ceiling(method, want):
     assert (out == "") == (want == 2)
 
 
-# operands: small valid ints, the values just over the two ceilings, and, for
+@pytest.mark.parametrize("method,want", [("direct", 0), ("mobius", 2), ("approx", 2), ("all", 2)])
+def test_totient_over_the_factorization_ceiling(method, want):
+    # the gcd scan never factorizes n, so only it answers
+    code, out = main_in_process("totient", str(_FACTOR_MAX + 1), "1", "10", "--method", method)
+    assert code == want
+    if want == 0:
+        assert json.loads(out)["outputs"] == {"direct": 10}
+    else:
+        assert out == ""
+
+
+def test_sweep_over_the_residue_ceiling():
+    # the range is refused before any modulus is listed or classified
+    assert main_in_process("sweep", "2", "10000000000") == (2, "")
+
+
+# operands: small valid ints, the values just over the ceilings, and, for
 # about one argument in five, text every int argument must refuse or an int
 # one below its bound
 JUNK = st.sampled_from(["0", "-3", "True", "1.5", "x", "1/0", ""])
@@ -299,9 +316,10 @@ def argvs(draw):
         hi = str((lo + width) * den + draw(st.integers(0, den - 1))) + ("" if den == 1 else f"/{den}")
         method = draw(st.sampled_from(["direct", "mobius", "approx", "all"]))
         lo_text, hi_text = draw(_or_junk(st.just(str(lo)))), draw(_or_junk(st.just(hi)))
-        return ["totient", draw(_ints(1, 10**6)), lo_text, hi_text, "--method", method]
+        n = draw(_ints(1, 10**6) if draw(st.integers(0, 4)) else st.just(str(_FACTOR_MAX + 1)))
+        return ["totient", n, lo_text, hi_text, "--method", method]
     b_lo = draw(st.integers(2, 40))
-    b_hi = draw(_ints(b_lo, b_lo + 20))
+    b_hi = draw(_ints(b_lo, b_lo + 20) if draw(st.integers(0, 4)) else st.just("10000000000"))
     workers = draw(_or_junk(st.just("1")))
     return ["sweep", str(b_lo), b_hi, "--format", "json", "--workers", workers]
 

@@ -72,6 +72,36 @@ def test_sweep_range_checks_both_ends(args):
         sweep_range(*args)
 
 
+def test_sweep_refuses_more_residues_than_the_ceiling(monkeypatch):
+    # the closed-form residue count, sum of b - 1 over b != 3, passes at a
+    # limit equal to it and is refused at one below it
+    for b_lo, b_hi in ((2, 2), (2, 3), (2, 7), (3, 9), (4, 9), (5, 40)):
+        count = sum(b - 1 for b in range(b_lo, b_hi + 1) if b != 3)
+        monkeypatch.setattr(distribution, "_SWEEP_MAX", count)
+        assert [rep.b for rep in sweep_range(b_lo, b_hi)] == [b for b in range(b_lo, b_hi + 1) if b != 3]
+        monkeypatch.setattr(distribution, "_SWEEP_MAX", count - 1)
+        with pytest.raises(ValueError) as info:
+            sweep_range(b_lo, b_hi)
+        assert str(info.value) == f"a sweep classifies at most {count - 1} residues, got {count} for b in [{b_lo}, {b_hi}]"
+    monkeypatch.setattr(distribution, "_SWEEP_MAX", 3)
+    assert sweep(4).b == 4
+    with pytest.raises(ValueError, match="at most 3 residues, got 4 for b in \\[5, 5\\]"):
+        sweep(5)
+
+
+def test_sweep_ceiling_is_just_over_b_10000_from_2():
+    # only just over the limit, and far over it: neither may start the work
+    limit = distribution._SWEEP_MAX
+    over = sum(b - 1 for b in range(2, 10002) if b != 3)
+    assert sum(b - 1 for b in range(2, 10001) if b != 3) <= limit < over
+    with pytest.raises(ValueError, match=f"at most {limit} residues, got {over} for"):
+        sweep_range(2, 10001)
+    with pytest.raises(ValueError, match=f"at most {limit} residues"):
+        sweep_range(2, 10**10)
+    with pytest.raises(ValueError, match=f"at most {limit} residues, got {limit + 1} for"):
+        sweep(limit + 2)
+
+
 @pytest.mark.parametrize("workers", [True, False, 2.0, "2", None])
 def test_sweep_range_rejects_non_int_workers(workers):
     with pytest.raises(ValueError, match="workers"):

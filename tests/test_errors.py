@@ -1,5 +1,6 @@
 """The one integer-argument rule, and every public entry that applies it."""
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,20 @@ from cotsum import core, distribution, exact, numeric, totient, verify
 from cotsum.errors import check_int
 
 
+class _Level(IntEnum):
+    ZERO = 0
+    TWO = 2
+
+
 def test_check_int_accepts_plain_ints_at_or_above_the_bound():
     check_int("n", 1, 1)
     check_int("k", 0, 0)
     check_int("seed", -5)
     check_int("n", 10**30, 1)
+    # an int subclass other than bool passes the general rule, not the
+    # exact-int shortcut, and is accepted as it always was
+    check_int("n", _Level.TWO, 2)
+    check_int("seed", _Level.ZERO)
 
 
 @pytest.mark.parametrize(
@@ -28,6 +38,8 @@ def test_check_int_accepts_plain_ints_at_or_above_the_bound():
         (1, 2, "n must be an integer >= 2, got 1"),
         (True, None, "n must be an integer, got True"),
         (1.5, None, "n must be an integer, got 1.5"),
+        (_Level.ZERO, 1, "n must be an integer >= 1, got <_Level.ZERO: 0>"),
+        (-(10**30), 0, f"n must be an integer >= 0, got {-(10**30)}"),
     ],
 )
 def test_check_int_message(value, least, message):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cotsum.errors import PreconditionError
 from cotsum.totient import (
+    _FACTOR_MAX,
     _SCAN_MAX,
     ArithmeticProfile,
     PhiApproximation,
@@ -222,23 +223,34 @@ def test_legendre_phi_values():
     assert legendre_phi(6, 0) == 0
 
 
-@pytest.mark.parametrize("x", [-1, "-1/2", Fraction(-1, 3)])
-def test_legendre_phi_rejects_negative_bound(x):
-    with pytest.raises(ValueError, match="prefix bound must be >= 0"):
+@pytest.mark.parametrize(
+    "x,shown", [(-1, "-1"), (-(10**20), str(-(10**20))), ("-1/2", "-1/2"), (Fraction(-1, 3), "-1/3")]
+)
+def test_legendre_phi_rejects_negative_bound(x, shown):
+    with pytest.raises(ValueError) as info:
         legendre_phi(6, x)
+    assert str(info.value) == f"prefix bound must be >= 0, got {shown}"
 
 
 def test_legendre_phi_takes_int_str_and_fraction_alike():
     # k <= 7/2 coprime to 12: only k = 1; k <= 35/2 matches the integer prefix 17
     assert legendre_phi(12, "7/2") == legendre_phi(12, Fraction(7, 2)) == legendre_phi(12, 3) == 1
     assert legendre_phi(12, Fraction(35, 2)) == legendre_phi(12, "35/2") == legendre_phi(12, 17) == 6
+    # an int bound is read as x/1 without a Fraction; it must count exactly
+    # what the same bound as a Fraction or as text counts, and the gcd scan
+    for n in range(1, 61):
+        running = 0
+        for x in range(0, 3 * n + 1):
+            running += x > 0 and gcd(n, x) == 1
+            assert legendre_phi(n, x) == legendre_phi(n, Fraction(x)) == legendre_phi(n, str(x)) == running
 
 
 @pytest.mark.parametrize("x", [4.35 * 100, 7.0, True, False, None])
 def test_legendre_phi_rejects_float_and_bool(x):
     # 4.35 * 100 is 434.99999999999994, which would silently count to 434
-    with pytest.raises(ValueError, match="prefix bound.*(float|bool|NoneType)"):
+    with pytest.raises(ValueError) as info:
         legendre_phi(1, x)
+    assert str(info.value) == f"prefix bound must be an int, str or Fraction, got {type(x).__name__} {x!r}"
 
 
 def test_decomposition_worked_example():
@@ -399,6 +411,28 @@ def test_gcd_scans_refuse_ranges_over_the_ceiling():
     # integers coprime to 6 are those = 1 or 5 mod 6
     top = _SCAN_MAX + 1
     assert phi_range_mobius(6, RangeBound(1, top)) == 2 * (top // 6) + (top % 6 >= 1) + (top % 6 >= 5)
+
+
+def test_factorization_refuses_n_over_the_ceiling():
+    # only just over the limit: a prime just under it takes about 0.3-0.5 s
+    over = f"factorizing takes n <= {_FACTOR_MAX}, got {_FACTOR_MAX + 1}"
+    n = _FACTOR_MAX + 1
+    for call in (
+        lambda: arithmetic_profile(n),
+        lambda: euler_phi(n),
+        lambda: phi_range_mobius(n, RangeBound(1, 10)),
+        lambda: legendre_phi(n, 10),
+        lambda: phi_approx(n, 1, 10),
+        lambda: divisor_partition_identity(n, 1, 10),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == over
+    assert arithmetic_profile(_FACTOR_MAX).prime_powers == ((2, 14), (5, 14))
+    # the gcd scans never factorize, so they still count for such an n
+    # (10^14 + 1 = 29 * 101 * 281 * 121499449 is coprime to every k <= 10)
+    assert phi_range_direct(n, RangeBound(1, 10)) == 10
+    assert coprime_sum(n, 1, 10, strict=False) == 55
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """The self-check battery: determinism, report shape, pinned discrepancies."""
 
 import json
+import random
 
 import pytest
 
-from cotsum.verify import run_checks
+from cotsum.verify import _randint, run_checks
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +106,24 @@ def test_non_int_parameters_rejected_up_front(kwargs, message):
     with pytest.raises(ValueError) as info:
         run_checks(**kwargs)
     assert str(info.value) == message
+
+
+# lo == hi, width 2, widths 2^k - 1, 2^k and 2^k + 1 (where the rejection
+# loop's bit count changes), widths above 2^64, and negative lo
+_RANDINT_RANGES = (
+    [(5, 5), (-3, -3), (0, 1), (7, 8)]
+    + [(1, w) for k in (2, 3, 5, 8, 13, 31, 32, 53, 63, 64, 65) for w in (2**k - 1, 2**k, 2**k + 1)]
+    + [(0, 2**70 + 12345), (-(2**65), 2**65), (-1000, 1000), (-(2**40), -1)]
+)
+
+
+def test_randint_draws_what_random_randint_draws():
+    # the battery's report is pinned to Random.randint's stream: same values,
+    # and the generator left in the same state after every sequence
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for lo, hi in _RANDINT_RANGES:
+            got = [_randint(ours, lo, hi) for _ in range(3)]
+            want = [theirs.randint(lo, hi) for _ in range(3)]
+            assert got == want, (seed, lo, hi)
+            assert ours.getstate() == theirs.getstate(), (seed, lo, hi)
