@@ -202,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for rec in report["expected_discrepancies"]:
         mark = "pass" if rec["matches_pin"] else "FAIL"
         print(f"[{mark}] pinned/{rec['name']}", file=sys.stderr)
-    _write_text(args.report, json.dumps(report, indent=2) + "\n")
+    _write_text(args.report, verify.report_text(report))
     return 0 if report["summary"]["ok"] else 1
 
 

@@ -20,6 +20,7 @@ Beyond pass/fail checks the report carries two more sections:
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -29,7 +30,7 @@ from . import core, distribution, exact, numeric, totient
 from .errors import check_int
 from .totient import RangeBound
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CheckResult", "report_text", "run_checks"]
 
 
 @dataclass
@@ -675,3 +676,8 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
         "expected_discrepancies": discrepancies,
         "empirical": ctx.empirical,
     }
+
+
+def report_text(report: dict) -> str:
+    """The report as `cotsum verify --report PATH` writes it: indented JSON and a newline."""
+    return json.dumps(report, indent=2) + "\n"

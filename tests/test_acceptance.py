@@ -16,7 +16,7 @@ import pytest
 from conftest import run_cotsum
 
 from cotsum import eval_exact, eval_float, tol
-from cotsum.verify import run_checks
+from cotsum.verify import report_text, run_checks
 
 
 def announce(capsys, label: str, ok: bool, detail: str = "") -> None:
@@ -124,7 +124,7 @@ REPORT_SHA256_SEED_42 = "8b3727984337b19fd0a01c18fb0b70a9bcf75ffd00722484797d2d5
 
 
 def test_report_bytes_pinned(capsys, full_report):
-    digest = hashlib.sha256((json.dumps(full_report, indent=2) + "\n").encode()).hexdigest()
+    digest = hashlib.sha256(report_text(full_report).encode()).hexdigest()
     announce(capsys, "report bytes for max_b=500, max_n=2000, seed=42 match the pinned sha256",
              digest == REPORT_SHA256_SEED_42, f"sha256 {digest[:12]}...")
 

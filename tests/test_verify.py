@@ -1,11 +1,15 @@
-"""The self-check battery: determinism, report shape, pinned discrepancies."""
+"""The self-check battery: determinism, report shape, pinned discrepancies,
+and a golden net of whole-report digests, passing and under mutants."""
 
+import hashlib
 import json
 import random
+import time
 
 import pytest
 
-from cotsum.verify import _randint, run_checks
+from cotsum import core, exact, numeric, totient, verify
+from cotsum.verify import _randint, report_text, run_checks
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +131,130 @@ def test_randint_draws_what_random_randint_draws():
             want = [theirs.randint(lo, hi) for _ in range(3)]
             assert got == want, (seed, lo, hi)
             assert ours.getstate() == theirs.getstate(), (seed, lo, hi)
+
+
+# ---------------------------------------------------------------- golden net
+# sha256 of the report bytes `cotsum verify` writes, for small triples and for
+# failing batteries under single-fault mutants. A change that means to move a
+# report updates its pin here and says which one in CHANGES.md.
+
+
+def report_sha256(report: dict) -> str:
+    return hashlib.sha256(report_text(report).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def timed_12_30():
+    """(report, times) of run_checks(12, 30, 0) with verify._CHECKS rebound to
+    timing wrappers keyed on each result's module/name, as the benchmark
+    rebinds it; the report must come out as it does unwrapped."""
+    times: dict[str, float] = {}
+
+    def timed(check):
+        def wrapper(*args):
+            start = time.perf_counter()
+            result = check(*args)
+            times[f"{result.module}/{result.name}"] = time.perf_counter() - start
+            return result
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_CHECKS", tuple(timed(c) for c in verify._CHECKS))
+        report = run_checks(max_b=12, max_n=30, seed=0)
+    return report, times
+
+
+def test_report_bytes_pinned_25_60_7(small_report):
+    assert report_sha256(small_report) == "86ccc72152de2bc414d7726bea916aca5079e9149c4436600683814bc6482810"
+
+
+def test_report_bytes_pinned_12_30_0(timed_12_30):
+    assert report_sha256(timed_12_30[0]) == "05f54f3310c309a04456100799825848671b8afbd288a28a4aaf6e84f5775c7f"
+
+
+def test_report_bytes_pinned_25_60_1009():
+    report = run_checks(max_b=25, max_n=60, seed=1009)
+    assert report_sha256(report) == "f26776046c400157b8c54ac88bdafb999aa432fdfe29eb54118652435e58e863"
+
+
+def _kernel_plus_b_above_10(kernel):
+    def mutant(na, b):
+        num, den = kernel(na, b)
+        return (num + b * den, den) if b > 10 else (num, den)
+
+    return mutant
+
+
+def _boundary_plus_b_at_k_b_plus_1(boundary_value):
+    return lambda na, b, k: boundary_value(na, b, k) + (b if k == b + 1 else 0)
+
+
+def _mobius_plus_1_where_7_divides_n(mobius_count):
+    return lambda n, *rest: mobius_count(n, *rest) + (n % 7 == 0)
+
+
+# this one and the next fail where a check refuses before counting the case
+def _approx_refuses_17(phi_approx):
+    def mutant(n, lo, hi):
+        if n == 17:
+            raise ValueError("mutant refuses n = 17")
+        return phi_approx(n, lo, hi)
+
+    return mutant
+
+
+def _legendre_1_at_9_0(legendre_phi):
+    return lambda n, x: 1 if (n, x) == (9, 0) else legendre_phi(n, x)
+
+
+def _tolerance_below_0(tol):
+    return lambda b: -1.0
+
+
+# id: (module, attribute, mutant of the original, report sha256 at (12, 30, 0),
+# the failing checks with their case counts at the first failure)
+MUTANTS = {
+    "kernel-plus-b-above-10": (
+        core, "_kernel", _kernel_plus_b_above_10, "76d1b9f47b8525609e608c225c19cd6704b19e9bdbc71114636014f3c89d6e59",
+        [("trichotomy-and-predicates", 30), ("magnitude-bound", 143), ("master-congruence-witness", 88), ("float-oracle-agreement", 487)],
+    ),
+    "boundary-plus-b-at-k-b-plus-1": (
+        exact, "_boundary_value", _boundary_plus_b_at_k_b_plus_1, "05d95ef19383fa47d554c6e962a2fc98c4c08f76efdf97404bc984300d711571",
+        [("shift-rule-vs-direct-reduction", 4), ("boundary-count-window-steps", 4)],
+    ),
+    "mobius-plus-1-where-7-divides-n": (
+        totient, "_mobius_count", _mobius_plus_1_where_7_divides_n, "d1eeefc5c4a6ec88d654c88a76fc5c5439598232aa9155ac63054cea6d8916a9",
+        [("prefix-exhaustive-agreement", 94), ("random-rational-agreement", 1231), ("prefix-decomposition", 1002), ("gcd-partition-telescopes", 301), ("sweep-closed-forms", 5)],
+    ),
+    "approx-refuses-17": (
+        totient, "phi_approx", _approx_refuses_17, "cc557ae71b400b186e54d888e36f2dced24669ad7241fdb7e5dacf2241e78441",
+        [("main-term-error-bound", 1500)],
+    ),
+    "legendre-1-at-9-0": (
+        totient, "legendre_phi", _legendre_1_at_9_0, "eb5b18ba61e464c4786505e79438f0d8c51f37e51eba532d15028e7f75a004b1",
+        [("prefix-exhaustive-agreement", 148)],
+    ),
+    "tolerance-below-0": (
+        numeric, "tol", _tolerance_below_0, "426e070718e9c0e52df51b821e48673094e5394eca27592442c6cdb72769aaff",
+        [("known-values", 2), ("float-oracle-agreement", 1), ("vanishing-cosine-powers", 1), ("vanishing-sine-squares", 1), ("sine-sum-fractional-part", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_failing_report_bytes_pinned_under_mutant(mutant, monkeypatch):
+    module, attr, make, sha256, failing = MUTANTS[mutant]
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    report = run_checks(max_b=12, max_n=30, seed=0)
+    assert [(c["name"], c["cases"]) for c in report["checks"] if not c["passed"]] == failing
+    assert report["summary"]["ok"] is False
+    assert report_sha256(report) == sha256
+
+
+def test_checks_are_rebindable_result_callables_in_report_order(timed_12_30):
+    # the benchmark times each check through verify._CHECKS; its report bytes
+    # are pinned above with the wrappers in place
+    report, times = timed_12_30
+    assert len(verify._CHECKS) == 21 and all(map(callable, verify._CHECKS))
+    assert list(times) == [f"{c['module']}/{c['name']}" for c in report["checks"]]
