@@ -1,12 +1,16 @@
 """Identity battery: re-derive every library-level claim at configurable bounds.
 
-`run_checks` executes a fixed list of checks, each of which exercises one
-documented identity or invariant over an exhaustive or seeded-random domain,
-and returns a plain-dict report. The report is deterministic for a given
-(max_b, max_n, seed) triple: check order is static, all randomness comes from
-one `random.Random(seed)` consumed in that order (each draw as its `randint`
-would make it, see `_randint`), and nothing time- or host-dependent is
-recorded.
+`run_checks` runs a fixed list of checks, each exercising one documented
+identity or invariant over an exhaustive or seeded-random domain, and returns
+a plain-dict report. The report is deterministic for a given (max_b, max_n,
+seed): all randomness comes from one `random.Random(seed)` consumed in check
+order (each draw as its `randint` would make it, see `_randint`), and nothing
+time- or host-dependent is recorded.
+
+A check is a generator over the run's `_Ctx`, registered in `_CHECKS` by
+`@_check(module, name, pass detail)`: it yields once per case and raises
+`_Failed(detail, **counterexample)` at its first failure, and its runner
+counts the yields into a `CheckResult`. Registration order is report order.
 
 Beyond pass/fail checks the report carries two more sections:
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -78,27 +83,41 @@ def _safe(v):
     return v
 
 
-def _fail(module: str, name: str, cases: int, detail: str, **ce) -> CheckResult:
-    return CheckResult(
-        module=module,
-        name=name,
-        passed=False,
-        cases=cases,
-        detail=detail,
-        counterexample={k: _safe(v) for k, v in ce.items()},
-    )
+class _Failed(Exception):
+    """A check's first failure: args are its detail and its JSON-safe counterexample."""
+
+    def __init__(self, detail: str, **ce) -> None:
+        super().__init__(detail, {k: _safe(v) for k, v in ce.items()})
 
 
-def _ok(module: str, name: str, cases: int, detail: str) -> CheckResult:
-    return CheckResult(module=module, name=name, passed=True, cases=cases, detail=detail)
+_CHECKS: list[Callable[[_Ctx], CheckResult]] = []
+
+
+def _check(module: str, name: str, detail: str):
+    """Append a runner of the check below to _CHECKS; {max_b} in detail reads ctx."""
+
+    def register(gen: Callable[[_Ctx], Iterator[None]]):
+        def run(ctx: _Ctx) -> CheckResult:
+            cases = 0
+            try:
+                for _ in gen(ctx):
+                    cases += 1
+            except _Failed as fail:
+                return CheckResult(module, name, False, cases, *fail.args)
+            return CheckResult(module, name, True, cases, detail.format(max_b=ctx.max_b))
+
+        _CHECKS.append(run)
+        return gen
+
+    return register
 
 
 # ---------------------------------------------------------------- exact
 
 
-def _check_shift_rule(ctx: _Ctx) -> CheckResult:
-    mod, name = "exact", "shift-rule-vs-direct-reduction"
-    cases = 0
+@_check("exact", "shift-rule-vs-direct-reduction",
+        "residue-exhaustive to b<=50 with k<=2b, literal (n,a) sweep to b<=12")
+def _check_shift_rule(ctx: _Ctx) -> Iterator[None]:
     # the rule sees n*a only through its residue, so residues exhaust b <= 50
     for b in range(2, min(ctx.max_b, 50) + 1):
         for r in range(b):
@@ -106,9 +125,9 @@ def _check_shift_rule(ctx: _Ctx) -> CheckResult:
             for k in range(2 * b + 1):
                 got = exact.shifted_frac_part(1, a, b, k)
                 want = exact.frac_part(1, a + k, b)
-                cases += 1
+                yield
                 if got != want:
-                    return _fail(mod, name, cases, "shift rule broke", b=b, a=a, k=k, got=got, want=want)
+                    raise _Failed("shift rule broke", b=b, a=a, k=k, got=got, want=want)
     # literal n, a sweep at small b
     for b in range(2, min(ctx.max_b, 12) + 1):
         for n in range(1, 3 * b + 1):
@@ -116,47 +135,42 @@ def _check_shift_rule(ctx: _Ctx) -> CheckResult:
                 for k in (0, 1, b - 1, b, 2 * b):
                     got = exact.shifted_frac_part(n, a, b, k)
                     want = exact.frac_part(1, n * a + k, b)
-                    cases += 1
+                    yield
                     if got != want:
-                        return _fail(mod, name, cases, "shift rule broke", b=b, n=n, a=a, k=k, got=got, want=want)
-    return _ok(mod, name, cases, "residue-exhaustive to b<=50 with k<=2b, literal (n,a) sweep to b<=12")
+                        raise _Failed("shift rule broke", b=b, n=n, a=a, k=k, got=got, want=want)
 
 
-def _check_unit_shifts(ctx: _Ctx) -> CheckResult:
-    mod, name = "exact", "unit-shift-rules"
-    cases = 0
+@_check("exact", "unit-shift-rules", "all a <= 3b for b <= 50")
+def _check_unit_shifts(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 50) + 1):
         for a in range(2, 3 * b + 1):
             if a % b:
-                cases += 1
+                yield
                 if exact.frac_part(1, a, b) != exact.frac_part(1, a - 1, b) + Fraction(1, b):
-                    return _fail(mod, name, cases, "step-by-1/b rule broke", b=b, a=a)
+                    raise _Failed("step-by-1/b rule broke", b=b, a=a)
             elif a >= 3:
-                cases += 1
+                yield
                 if exact.frac_part(1, a - 2, b) != 1 - Fraction(2, b):
-                    return _fail(mod, name, cases, "two-below-a-multiple rule broke", b=b, a=a)
-    return _ok(mod, name, cases, "all a <= 3b for b <= 50")
+                    raise _Failed("two-below-a-multiple rule broke", b=b, a=a)
 
 
-def _check_boundary_steps(ctx: _Ctx) -> CheckResult:
-    mod, name = "exact", "boundary-count-window-steps"
-    cases = 0
+@_check("exact", "boundary-count-window-steps", "monotone step and short-window checks to b<=40, k<=2b+1")
+def _check_boundary_steps(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 40) + 1):
         pairs = {(1, 1), (1, 2), (2, 3), (3, b), (1, max(1, b - 1)), (b, b + 1), (2, 2 * b + 1)}
         for n, a in sorted(pairs):
             prev = exact.boundary_count(n, a, b, 0).value
-            cases += 1
+            yield
             if prev != 0:
-                return _fail(mod, name, cases, "empty window must count 0", b=b, n=n, a=a)
+                raise _Failed("empty window must count 0", b=b, n=n, a=a)
             for k in range(1, 2 * b + 2):
                 v = exact.boundary_count(n, a, b, k).value
-                cases += 1
+                yield
                 if v - prev not in (0, b):
-                    return _fail(mod, name, cases, "window growth must step by 0 or b", b=b, n=n, a=a, k=k, prev=prev, value=v)
+                    raise _Failed("window growth must step by 0 or b", b=b, n=n, a=a, k=k, prev=prev, value=v)
                 if k <= b - 1 and v not in (0, b):
-                    return _fail(mod, name, cases, "short window holds at most one multiple", b=b, n=n, a=a, k=k, value=v)
+                    raise _Failed("short window holds at most one multiple", b=b, n=n, a=a, k=k, value=v)
                 prev = v
-    return _ok(mod, name, cases, "monotone step and short-window checks to b<=40, k<=2b+1")
 
 
 # ---------------------------------------------------------------- core
@@ -175,24 +189,21 @@ _KNOWN_VALUES = (
 )
 
 
-def _check_known_values(ctx: _Ctx) -> CheckResult:
-    mod, name = "core", "known-values"
-    cases = 0
+@_check("core", "known-values", f"{len(_KNOWN_VALUES)} hand-checked values, exact and float")
+def _check_known_values(ctx: _Ctx) -> Iterator[None]:
     for n, a, b, want in _KNOWN_VALUES:
         got = core.eval_exact(n, a, b)
-        cases += 1
+        yield
         if got != want:
-            return _fail(mod, name, cases, "hand-checked value moved", n=n, a=a, b=b, got=got, want=want)
+            raise _Failed("hand-checked value moved", n=n, a=a, b=b, got=got, want=want)
         approx = numeric.eval_float(n, a, b)
-        cases += 1
+        yield
         if not numeric.agrees(want, approx, b):
-            return _fail(mod, name, cases, "float oracle disagrees on a known value", n=n, a=a, b=b, float_value=approx.value)
-    return _ok(mod, name, cases, f"{len(_KNOWN_VALUES)} hand-checked values, exact and float")
+            raise _Failed("float oracle disagrees on a known value", n=n, a=a, b=b, float_value=approx.value)
 
 
-def _check_trichotomy(ctx: _Ctx) -> CheckResult:
-    mod, name = "core", "trichotomy-and-predicates"
-    cases = 0
+@_check("core", "trichotomy-and-predicates", "every coprime a for every b <= {max_b}, b != 3")
+def _check_trichotomy(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, ctx.max_b + 1):
         if b == 3:
             continue
@@ -207,33 +218,29 @@ def _check_trichotomy(ctx: _Ctx) -> CheckResult:
                 core.predicate_plus(a, b),
                 core.predicate_minus(a, b),
             )
-            cases += 1
+            yield
             if sum(preds) != 1:
-                return _fail(mod, name, cases, "predicates must pick exactly one class", a=a, b=b, preds=list(preds))
+                raise _Failed("predicates must pick exactly one class", a=a, b=b, preds=list(preds))
             want = core.CotTag.ZERO if preds[0] else core.CotTag.PLUS_HALF_B if preds[1] else core.CotTag.MINUS_HALF_B
             if v.tag is not want or v.exact not in allowed:
-                return _fail(mod, name, cases, "classification left the three-value set", a=a, b=b, tag=v.tag.value, value=v.exact)
-    return _ok(mod, name, cases, f"every coprime a for every b <= {ctx.max_b}, b != 3")
+                raise _Failed("classification left the three-value set", a=a, b=b, tag=v.tag.value, value=v.exact)
 
 
-def _check_magnitude_bound(ctx: _Ctx) -> CheckResult:
-    mod, name = "core", "magnitude-bound"
-    cases = 0
+@_check("core", "magnitude-bound", "n <= 2, a <= 2b, b <= 200, whenever b does not divide 3na")
+def _check_magnitude_bound(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 200) + 1):
         for n in (1, 2):
             for a in range(1, 2 * b + 1):
                 if (3 * n * a) % b == 0:
                     continue
                 s = core.eval_exact(n, a, b)
-                cases += 1
+                yield
                 if not abs(s) < b:
-                    return _fail(mod, name, cases, "strict |S| < b bound broke", n=n, a=a, b=b, value=s)
-    return _ok(mod, name, cases, "n <= 2, a <= 2b, b <= 200, whenever b does not divide 3na")
+                    raise _Failed("strict |S| < b bound broke", n=n, a=a, b=b, value=s)
 
 
-def _check_periodicity(ctx: _Ctx) -> CheckResult:
-    mod, name = "core", "periodicity-in-first-argument"
-    cases = 0
+@_check("core", "periodicity-in-first-argument", "a <= 3b vs a mod b, n <= 3, b <= 300")
+def _check_periodicity(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         for n in (1, 2, 3):
             by_residue: dict[int, Fraction] = {}
@@ -243,29 +250,25 @@ def _check_periodicity(ctx: _Ctx) -> CheckResult:
                     continue
                 if r not in by_residue:
                     by_residue[r] = core.eval_exact(n, r, b)
-                cases += 1
+                yield
                 if core.eval_exact(n, a, b) != by_residue[r]:
-                    return _fail(mod, name, cases, "value must only depend on a mod b", n=n, a=a, b=b)
-    return _ok(mod, name, cases, "a <= 3b vs a mod b, n <= 3, b <= 300")
+                    raise _Failed("value must only depend on a mod b", n=n, a=a, b=b)
 
 
-def _check_even_integrality(ctx: _Ctx) -> CheckResult:
-    mod, name = "core", "even-modulus-integrality"
-    cases = 0
+@_check("core", "even-modulus-integrality", "coprime a <= 3b for even b <= 300")
+def _check_even_integrality(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1, 2):
         for a in range(1, 3 * b + 1):
             if gcd(a, b) != 1:
                 continue
             s = core.eval_exact(1, a, b)
-            cases += 1
+            yield
             if s.denominator != 1 or (2 * s) % b != 0:
-                return _fail(mod, name, cases, "even b must give an integer with 2S divisible by b", a=a, b=b, value=s)
-    return _ok(mod, name, cases, "coprime a <= 3b for even b <= 300")
+                raise _Failed("even b must give an integer with 2S divisible by b", a=a, b=b, value=s)
 
 
-def _check_master_congruence(ctx: _Ctx) -> CheckResult:
-    mod, name = "core", "master-congruence-witness"
-    cases = 0
+@_check("core", "master-congruence-witness", "coprime a <= 3b, b <= 300 excluding 3")
+def _check_master_congruence(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         if b == 3:
             continue
@@ -273,20 +276,18 @@ def _check_master_congruence(ctx: _Ctx) -> CheckResult:
             if gcd(a, b) != 1:
                 continue
             w = core.master_witness(a, b)  # construction re-balances the books
-            cases += 1
+            yield
             if w.s != core.eval_exact(1, a, b):
-                return _fail(mod, name, cases, "witness value diverged from evaluation", a=a, b=b, witness=w.s)
+                raise _Failed("witness value diverged from evaluation", a=a, b=b, witness=w.s)
             if not 0 <= w.k <= b - 2:
-                return _fail(mod, name, cases, "witness shift out of range", a=a, b=b, k=w.k)
-    return _ok(mod, name, cases, "coprime a <= 3b, b <= 300 excluding 3")
+                raise _Failed("witness shift out of range", a=a, b=b, k=w.k)
 
 
 # ---------------------------------------------------------------- numeric
 
 
-def _check_oracle_agreement(ctx: _Ctx) -> CheckResult:
-    mod, name = "numeric", "float-oracle-agreement"
-    cases = 0
+@_check("numeric", "float-oracle-agreement", "n <= 3, a <= 3b, b <= 300 at tol(b) = 1e-9*b^2")
+def _check_oracle_agreement(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
         memo: dict[int, tuple[float, float, float]] = {}  # r -> (exact as float, float value, abs_bound)
@@ -299,17 +300,15 @@ def _check_oracle_agreement(ctx: _Ctx) -> CheckResult:
                     res = numeric.eval_float(n, a, b)
                     memo[r] = (float(core.eval_exact(n, a, b)), res.value, res.abs_bound)
                 ev, fv, bound = memo[r]
-                cases += 1
+                yield
                 if abs(ev - fv) > t:
-                    return _fail(mod, name, cases, "float sum left tolerance", n=n, a=a, b=b, exact=ev, float_value=fv, tolerance=t)
+                    raise _Failed("float sum left tolerance", n=n, a=a, b=b, exact=ev, float_value=fv, tolerance=t)
                 if abs(fv) > bound:
-                    return _fail(mod, name, cases, "reported abs_bound below the value", n=n, a=a, b=b, float_value=fv, abs_bound=bound)
-    return _ok(mod, name, cases, "n <= 3, a <= 3b, b <= 300 at tol(b) = 1e-9*b^2")
+                    raise _Failed("reported abs_bound below the value", n=n, a=a, b=b, float_value=fv, abs_bound=bound)
 
 
-def _check_vanishing_cos(ctx: _Ctx) -> CheckResult:
-    mod, name = "numeric", "vanishing-cosine-powers"
-    cases = 0
+@_check("numeric", "vanishing-cosine-powers", "q <= 5, twenty seeded (n, a) draws per (b, q), b <= 300")
+def _check_vanishing_cos(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
         for q in range(1, 6):
@@ -317,30 +316,26 @@ def _check_vanishing_cos(ctx: _Ctx) -> CheckResult:
                 n = _randint(ctx.rng, 1, 1000)
                 a = _randint(ctx.rng, 1, 3 * b)
                 res = numeric.cot_cos_power_sum(q, n, a, b)
-                cases += 1
+                yield
                 if abs(res.value) > t:
-                    return _fail(mod, name, cases, "odd-times-even sum failed to cancel", n=n, a=a, b=b, q=q, value=res.value)
-    return _ok(mod, name, cases, "q <= 5, twenty seeded (n, a) draws per (b, q), b <= 300")
+                    raise _Failed("odd-times-even sum failed to cancel", n=n, a=a, b=b, q=q, value=res.value)
 
 
-def _check_vanishing_sin2(ctx: _Ctx) -> CheckResult:
-    mod, name = "numeric", "vanishing-sine-squares"
-    cases = 0
+@_check("numeric", "vanishing-sine-squares", "twenty seeded (n, a) draws per b <= 300")
+def _check_vanishing_sin2(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
         for _ in range(20):
             n = _randint(ctx.rng, 1, 1000)
             a = _randint(ctx.rng, 1, 3 * b)
             res = numeric.cot_sin2_sum(n, a, b)
-            cases += 1
+            yield
             if abs(res.value) > t:
-                return _fail(mod, name, cases, "squared-sine sum failed to cancel", n=n, a=a, b=b, value=res.value)
-    return _ok(mod, name, cases, "twenty seeded (n, a) draws per b <= 300")
+                raise _Failed("squared-sine sum failed to cancel", n=n, a=a, b=b, value=res.value)
 
 
-def _check_sine_sum_frac(ctx: _Ctx) -> CheckResult:
-    mod, name = "numeric", "sine-sum-fractional-part"
-    cases = 0
+@_check("numeric", "sine-sum-fractional-part", "five seeded draws per b <= 300, b not dividing n*a")
+def _check_sine_sum_frac(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
         for _ in range(5):
@@ -351,21 +346,21 @@ def _check_sine_sum_frac(ctx: _Ctx) -> CheckResult:
             while (n * a) % b == 0:
                 a += 1
             res = numeric.frac_part_via_sine_sum(n, a, b)
-            cases += 1
+            yield
             if abs(res.value - float(exact.frac_part(n, a, b))) > t:
-                return _fail(mod, name, cases, "sine-sum route missed the fractional part", n=n, a=a, b=b, value=res.value)
-    return _ok(mod, name, cases, "five seeded draws per b <= 300, b not dividing n*a")
+                raise _Failed("sine-sum route missed the fractional part", n=n, a=a, b=b, value=res.value)
 
 
 # ---------------------------------------------------------------- totient
 
+_PROFILE_LIMIT = 10_000
 
-def _check_profiles(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "profile-invariants"
-    limit = 10_000
-    spf = totient.spf_sieve(limit)
-    cases = 0
-    for n in range(1, limit + 1):
+
+@_check("totient", "profile-invariants",
+        f"trial-division profiles vs an independent sieve, n <= {_PROFILE_LIMIT}")
+def _check_profiles(ctx: _Ctx) -> Iterator[None]:
+    spf = totient.spf_sieve(_PROFILE_LIMIT)
+    for n in range(1, _PROFILE_LIMIT + 1):
         m, om, mob = n, 0, 1
         while m > 1:
             p = spf[m]
@@ -376,116 +371,108 @@ def _check_profiles(ctx: _Ctx) -> CheckResult:
                 e += 1
             mob = 0 if e > 1 else -mob
         prof = totient.arithmetic_profile(n)  # construction validates mu-sum and 2^omega size
-        cases += 1
+        yield
         if prof.omega != om or prof.mobius != mob:
-            return _fail(mod, name, cases, "profile disagrees with sieve", n=n, omega=prof.omega, mobius=prof.mobius, sieve_omega=om, sieve_mobius=mob)
+            raise _Failed("profile disagrees with sieve", n=n, omega=prof.omega, mobius=prof.mobius, sieve_omega=om, sieve_mobius=mob)
         if sum(abs(mu) for _, mu in prof.squarefree_divisors) != 2**om:
-            return _fail(mod, name, cases, "squarefree divisors must all carry mu = +-1", n=n)
-    return _ok(mod, name, cases, f"trial-division profiles vs an independent sieve, n <= {limit}")
+            raise _Failed("squarefree divisors must all carry mu = +-1", n=n)
 
 
-def _check_prefix_exhaustive(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "prefix-exhaustive-agreement"
-    cases = 0
+@_check("totient", "prefix-exhaustive-agreement",
+        "every prefix bound x <= 3n for n <= 200, plus seeded telescoping draws")
+def _check_prefix_exhaustive(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 200) + 1):
         if totient.legendre_phi(n, 0) != 0:
-            return _fail(mod, name, cases, "prefix count at 0 must be 0", n=n)
+            raise _Failed("prefix count at 0 must be 0", n=n)
         running = 0
         for x in range(1, 3 * n + 1):
             if gcd(n, x) == 1:
                 running += 1
-            cases += 1
+            yield
             if totient.legendre_phi(n, x) != running:
-                return _fail(mod, name, cases, "prefix count diverged from the gcd scan", n=n, x=x, got=totient.legendre_phi(n, x), want=running)
+                raise _Failed("prefix count diverged from the gcd scan", n=n, x=x, got=totient.legendre_phi(n, x), want=running)
             if totient.phi_range_mobius(n, RangeBound(1, x)) != running:
-                return _fail(mod, name, cases, "inclusion-exclusion diverged from the gcd scan", n=n, x=x)
+                raise _Failed("inclusion-exclusion diverged from the gcd scan", n=n, x=x)
         # two-sided ranges telescope out of the prefixes just checked:
         # count[A, B] = prefix(B) - prefix(A-1), identically in the formulas
         for _ in range(5):
             a = _randint(ctx.rng, 1, 3 * n)
             b2 = _randint(ctx.rng, a, 3 * n)
-            cases += 1
+            yield
             if totient.phi_range_mobius(n, RangeBound(a, b2)) != totient.legendre_phi(n, b2) - totient.legendre_phi(n, a - 1):
-                return _fail(mod, name, cases, "two-sided count must telescope from prefixes", n=n, lo=a, hi=b2)
-    return _ok(mod, name, cases, "every prefix bound x <= 3n for n <= 200, plus seeded telescoping draws")
+                raise _Failed("two-sided count must telescope from prefixes", n=n, lo=a, hi=b2)
 
 
-def _check_random_rational(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "random-rational-agreement"
-    cases = 0
-    rng = ctx.rng
+@_check("totient", "random-rational-agreement",
+        "200 seeded rational ranges (width <= 48) per n, plus 5 wide ranges per n")
+def _check_random_rational(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 1000) + 1):
         for _ in range(200):
-            lo_den = _randint(rng, 1, 8)
-            w_den = _randint(rng, 1, 8)
-            lo_num = _randint(rng, 1, 3 * n * lo_den)
-            w_num = _randint(rng, 0, 48 * w_den)
+            lo_den = _randint(ctx.rng, 1, 8)
+            w_den = _randint(ctx.rng, 1, 8)
+            lo_num = _randint(ctx.rng, 1, 3 * n * lo_den)
+            w_num = _randint(ctx.rng, 0, 48 * w_den)
             # hi = lo + w_num/w_den, built as one Fraction
             hi = Fraction(lo_num * w_den + w_num * lo_den, lo_den * w_den)
             bounds = RangeBound(Fraction(lo_num, lo_den), hi)
-            cases += 1
+            yield
             if totient.phi_range_direct(n, bounds) != totient.phi_range_mobius(n, bounds):
-                return _fail(
-                    mod, name, cases, "gcd scan and inclusion-exclusion disagree",
+                raise _Failed(
+                    "gcd scan and inclusion-exclusion disagree",
                     n=n, lo=bounds.lo, hi=bounds.hi,
                     direct=totient.phi_range_direct(n, bounds),
                     mobius=totient.phi_range_mobius(n, bounds),
                 )
         # a few wide ranges, validated against prefixes instead of a long scan
         for _ in range(5):
-            den = _randint(rng, 1, 8)
-            lo_num = _randint(rng, den, 3 * n * den)
-            bounds = RangeBound(Fraction(lo_num, den), Fraction(lo_num + _randint(rng, 0, 3 * n * den), den))
+            den = _randint(ctx.rng, 1, 8)
+            lo_num = _randint(ctx.rng, den, 3 * n * den)
+            bounds = RangeBound(Fraction(lo_num, den), Fraction(lo_num + _randint(ctx.rng, 0, 3 * n * den), den))
             span_lo, span_hi = bounds.integer_span()
-            cases += 1
+            yield
             if span_lo > span_hi:
                 if totient.phi_range_mobius(n, bounds) != 0:
-                    return _fail(mod, name, cases, "empty span must count 0", n=n, lo=bounds.lo, hi=bounds.hi)
+                    raise _Failed("empty span must count 0", n=n, lo=bounds.lo, hi=bounds.hi)
             elif totient.phi_range_mobius(n, bounds) != totient.legendre_phi(n, span_hi) - totient.legendre_phi(n, span_lo - 1):
-                return _fail(mod, name, cases, "wide range disagrees with prefix difference", n=n, lo=bounds.lo, hi=bounds.hi)
-    return _ok(mod, name, cases, "200 seeded rational ranges (width <= 48) per n, plus 5 wide ranges per n")
+                raise _Failed("wide range disagrees with prefix difference", n=n, lo=bounds.lo, hi=bounds.hi)
 
 
-def _check_decomposition(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "prefix-decomposition"
-    cases = 1
+@_check("totient", "prefix-decomposition", "100 seeded integer ranges per n <= 500, plus the frozen instance")
+def _check_decomposition(ctx: _Ctx) -> Iterator[None]:
+    yield
     dec = totient.phi_decomposition(12, 5, 17)
     if (dec.prefix_hi, dec.prefix_lo, dec.endpoint, dec.combined) != (6, 2, 1, 5):
-        return _fail(mod, name, cases, "frozen worked instance moved", got=[dec.prefix_hi, dec.prefix_lo, dec.endpoint, dec.combined])
-    rng = ctx.rng
+        raise _Failed("frozen worked instance moved", got=[dec.prefix_hi, dec.prefix_lo, dec.endpoint, dec.combined])
     for n in range(2, min(ctx.max_n, 500) + 1):
         for _ in range(100):
-            lo = _randint(rng, 1, 3 * n)
-            hi = _randint(rng, lo, lo + 3 * n)
+            lo = _randint(ctx.rng, 1, 3 * n)
+            hi = _randint(ctx.rng, lo, lo + 3 * n)
             dec = totient.phi_decomposition(n, lo, hi)
             want = totient.phi_range_mobius(n, RangeBound(lo, hi))
-            cases += 1
+            yield
             if dec.combined != want:
-                return _fail(mod, name, cases, "prefix decomposition missed the range count", n=n, lo=lo, hi=hi, combined=dec.combined, want=want)
+                raise _Failed("prefix decomposition missed the range count", n=n, lo=lo, hi=hi, combined=dec.combined, want=want)
             if hi - lo <= 64:
-                cases += 1
+                yield
                 if dec.combined != totient.phi_range_direct(n, RangeBound(lo, hi)):
-                    return _fail(mod, name, cases, "prefix decomposition missed the direct scan", n=n, lo=lo, hi=hi)
-    return _ok(mod, name, cases, "100 seeded integer ranges per n <= 500, plus the frozen instance")
+                    raise _Failed("prefix decomposition missed the direct scan", n=n, lo=lo, hi=hi)
 
 
-def _check_approx_bound(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "main-term-error-bound"
-    cases = 0
-    rng = ctx.rng
+@_check("totient", "main-term-error-bound", "100 seeded integer ranges per n <= 2000 against |error| <= 2*2^omega")
+def _check_approx_bound(ctx: _Ctx) -> Iterator[None]:
     worst_err = Fraction(0)  # rebuilt only when the maximum moves
     worst_err_at: dict | None = None
     worst_ratio = -1.0
     worst_ratio_at: dict | None = None
     for n in range(2, min(ctx.max_n, 2000) + 1):
         for _ in range(100):
-            lo = _randint(rng, 1, 3 * n)
-            hi = _randint(rng, lo, lo + 3 * n)
+            lo = _randint(ctx.rng, 1, 3 * n)
+            hi = _randint(ctx.rng, lo, lo + 3 * n)
             try:
                 ap = totient.phi_approx(n, lo, hi)  # construction enforces the bound
             except ValueError as exc:
-                return _fail(mod, name, cases, "error bound violated", n=n, lo=lo, hi=hi, error=str(exc))
-            cases += 1
+                raise _Failed("error bound violated", n=n, lo=lo, hi=hi, error=str(exc))
+            yield
             # |error| compared by cross-multiplying; denominators are positive
             num, den = abs(ap.error.numerator), ap.error.denominator
             if num * worst_err.denominator > worst_err.numerator * den:
@@ -503,30 +490,25 @@ def _check_approx_bound(ctx: _Ctx) -> CheckResult:
         "max_error_over_2omega": worst_ratio,
         "max_error_over_2omega_at": worst_ratio_at,
     }
-    return _ok(mod, name, cases, "100 seeded integer ranges per n <= 2000 against |error| <= 2*2^omega")
 
 
-def _check_partition(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "gcd-partition-telescopes"
-    cases = 0
-    rng = ctx.rng
+@_check("totient", "gcd-partition-telescopes", "50 seeded integer ranges per n <= 500")
+def _check_partition(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 500) + 1):
         for _ in range(50):
-            lo = _randint(rng, 1, 3 * n)
-            hi = _randint(rng, lo, lo + 3 * n)
-            cases += 1
+            lo = _randint(ctx.rng, 1, 3 * n)
+            hi = _randint(ctx.rng, lo, lo + 3 * n)
+            yield
             try:
                 got = totient.divisor_partition_identity(n, lo, hi)
             except ArithmeticError as exc:
-                return _fail(mod, name, cases, "partition failed to telescope", n=n, lo=lo, hi=hi, error=str(exc))
+                raise _Failed("partition failed to telescope", n=n, lo=lo, hi=hi, error=str(exc))
             if got != hi - lo + 1:
-                return _fail(mod, name, cases, "partition total moved", n=n, lo=lo, hi=hi, got=got)
-    return _ok(mod, name, cases, "50 seeded integer ranges per n <= 500")
+                raise _Failed("partition total moved", n=n, lo=lo, hi=hi, got=got)
 
 
-def _check_symmetric_sum(ctx: _Ctx) -> CheckResult:
-    mod, name = "totient", "symmetric-coprime-sum"
-    cases = 0
+@_check("totient", "symmetric-coprime-sum", "every symmetric split of every n <= 500")
+def _check_symmetric_sum(ctx: _Ctx) -> Iterator[None]:
     for n in range(2, min(ctx.max_n, 500) + 1):
         # prefix count/sum arrays make every symmetric split checkable in O(n)
         pc = [0] * n
@@ -542,63 +524,35 @@ def _check_symmetric_sum(ctx: _Ctx) -> CheckResult:
             hi = n - lo
             cnt = pc[hi] - pc[lo - 1]
             tot = ps[hi] - ps[lo - 1]
-            cases += 1
+            yield
             if 2 * tot != n * cnt:
-                return _fail(mod, name, cases, "paired sum identity broke", n=n, lo=lo, hi=hi, total=tot, count=cnt)
+                raise _Failed("paired sum identity broke", n=n, lo=lo, hi=hi, total=tot, count=cnt)
         # route a few splits through the public function, which re-checks itself
         for lo in {1, n // 3 + 1, n // 2}:
             hi = n - lo
             if not 1 <= lo <= hi:
                 continue
-            cases += 1
+            yield
             if totient.coprime_sum(n, lo, hi, strict=True) != ps[hi] - ps[lo - 1]:
-                return _fail(mod, name, cases, "public sum disagrees with prefix arrays", n=n, lo=lo, hi=hi)
-    return _ok(mod, name, cases, "every symmetric split of every n <= 500")
+                raise _Failed("public sum disagrees with prefix arrays", n=n, lo=lo, hi=hi)
 
 
 # ---------------------------------------------------------------- distribution
 
 
-def _check_sweep(ctx: _Ctx) -> CheckResult:
-    mod, name = "distribution", "sweep-closed-forms"
+@_check("distribution", "sweep-closed-forms", "full sweeps for b <= {max_b}, b != 3")
+def _check_sweep(ctx: _Ctx) -> Iterator[None]:
     reports = distribution.sweep_range(2, max(ctx.max_b, 2), workers=ctx.workers)
-    cases = 0
     for rep in reports:
-        cases += 1
+        yield
         if not rep.consistent:
-            return _fail(mod, name, cases, "observed counts left the closed forms", b=rep.b,
-                         observed=[rep.count_zero, rep.count_plus, rep.count_minus],
-                         closed=[rep.closed_zero, rep.closed_plus, rep.closed_minus])
+            raise _Failed("observed counts left the closed forms", b=rep.b,
+                          observed=[rep.count_zero, rep.count_plus, rep.count_minus],
+                          closed=[rep.closed_zero, rep.closed_plus, rep.closed_minus])
         if rep.count_zero + rep.count_plus + rep.count_minus != rep.phi_b:
-            return _fail(mod, name, cases, "counts must partition the coprime residues", b=rep.b, phi=rep.phi_b)
+            raise _Failed("counts must partition the coprime residues", b=rep.b, phi=rep.phi_b)
         if rep.count_plus != rep.count_minus:
-            return _fail(mod, name, cases, "sign symmetry a <-> b-a broke", b=rep.b)
-    return _ok(mod, name, cases, f"full sweeps for b <= {ctx.max_b}, b != 3")
-
-
-_CHECKS = (
-    _check_shift_rule,
-    _check_unit_shifts,
-    _check_boundary_steps,
-    _check_known_values,
-    _check_trichotomy,
-    _check_magnitude_bound,
-    _check_periodicity,
-    _check_even_integrality,
-    _check_master_congruence,
-    _check_oracle_agreement,
-    _check_vanishing_cos,
-    _check_vanishing_sin2,
-    _check_sine_sum_frac,
-    _check_profiles,
-    _check_prefix_exhaustive,
-    _check_random_rational,
-    _check_decomposition,
-    _check_approx_bound,
-    _check_partition,
-    _check_symmetric_sum,
-    _check_sweep,
-)
+            raise _Failed("sign symmetry a <-> b-a broke", b=rep.b)
 
 
 def _expected_discrepancies() -> list[dict]:
