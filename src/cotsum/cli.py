@@ -163,10 +163,12 @@ def cmd_totient(args: argparse.Namespace) -> int:
     integral = args.lo.denominator == 1 and args.hi.denominator == 1
     outputs: dict[str, object] = {}
     status, code = "ok", 0
+    # counted first so an n too large to factorize is refused before the gcd scan
+    mobius = totient.phi_range_mobius(args.n, bounds) if args.method in ("mobius", "all") else None
     if args.method in ("direct", "all"):
         outputs["direct"] = totient.phi_range_direct(args.n, bounds)
-    if args.method in ("mobius", "all"):
-        outputs["mobius"] = totient.phi_range_mobius(args.n, bounds)
+    if mobius is not None:
+        outputs["mobius"] = mobius
     want_approx = args.method == "approx" or (args.method == "all" and integral and args.n > 1)
     if want_approx:
         if not integral:

@@ -250,9 +250,6 @@ class RangeBound:
         lo, hi = self.lo, self.hi
         return -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 def _check_positive_range(bounds: RangeBound) -> None:
     if bounds.lo.numerator <= 0:

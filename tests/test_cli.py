@@ -6,6 +6,7 @@ property over arbitrary operands.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -14,7 +15,7 @@ from conftest import run_cotsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotsum import cli
+from cotsum import cli, totient
 from cotsum.numeric import _FLOAT_MAX_B
 from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
@@ -276,6 +277,22 @@ def test_totient_over_the_factorization_ceiling(method, want):
         assert json.loads(out)["outputs"] == {"direct": 10}
     else:
         assert out == ""
+
+
+def test_totient_all_refuses_an_unfactorizable_n_before_the_gcd_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the gcd scan ran for an n the Mobius count refuses")
+
+    monkeypatch.setattr(totient, "phi_range_direct", scan)
+    assert main_in_process("totient", str(_FACTOR_MAX + 1), "1", "9000000", "--method", "all") == (2, "")
+
+
+def test_totient_all_record_bytes():
+    # the Mobius count runs first; the record still lists direct before mobius
+    code, out = main_in_process("totient", "12", "5", "17", "--method", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "8b16dc759342faa2f4f8e76b057bd8b87930cd8eda3da55d6ae73bcf007e933d"
+    assert list(json.loads(out)["outputs"])[:2] == ["direct", "mobius"]
 
 
 def test_sweep_over_the_residue_ceiling():
