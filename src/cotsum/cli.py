@@ -10,6 +10,9 @@ csv or json form). Exit codes:
     3  a documented mathematical precondition was violated
     4  an output path could not be written
 
+A record's status picks its exit code in one table, `_EXIT_CODES`, which
+`_emit` reads; `main` maps the exceptions that end a command to 2, 3 and 4.
+
 Each command imports the layers it runs inside its own function, so a cold
 `eval`, `classify` or `totient` call never loads `verify` or `distribution`.
 """
@@ -19,8 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass, fields
 from math import gcd
 
 from .errors import PreconditionError
@@ -39,21 +41,19 @@ class OutputRecord:
         return json.dumps(asdict(self), indent=2)
 
 
-def _emit(record: OutputRecord) -> None:
-    print(record.render())
+_EXIT_CODES = {"ok": 0, "inconsistent": 1, "precondition_violation": 3}
+
+
+def _emit(command: str, inputs: dict, outputs: dict, status: str = "ok") -> int:
+    """Print the record and return its exit code."""
+    print(OutputRecord(command, inputs, outputs, status).render())
+    return _EXIT_CODES[status]
 
 
 def _precondition(command: str, inputs: dict, exc: Exception) -> int:
-    _emit(OutputRecord(command, inputs, {"error": str(exc)}, "precondition_violation"))
+    code = _emit(command, inputs, {"error": str(exc)}, "precondition_violation")
     print(f"precondition violated: {exc}", file=sys.stderr)
-    return 3
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number")
+    return code
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -61,7 +61,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     inputs = {"n": args.n, "a": args.a, "b": args.b, "mode": args.mode}
     outputs: dict[str, object] = {}
-    status, code = "ok", 0
     exact_value = approx = None
     if args.mode in ("exact", "both"):
         exact_value = core.eval_exact(args.n, args.a, args.b)
@@ -77,26 +76,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs["abs_diff"] = diff
         outputs["tolerance"] = tolerance
         outputs["within_tolerance"] = diff <= tolerance
-        if diff > tolerance:
-            status, code = "inconsistent", 1
-    _emit(OutputRecord("eval", inputs, outputs, status))
-    return code
+    status = "ok" if outputs.get("within_tolerance", True) else "inconsistent"
+    return _emit("eval", inputs, outputs, status)
 
 
-def _predicate_name(a: int, b: int) -> str | None:
-    """Which window 3a + k + 1 landed in, written as the congruence it proves."""
-    from . import core
-
-    r = a % b
-    if r == 0 or b == 3 or gcd(r, b) != 1:
-        return None
-    if core.predicate_zero(r, b):
-        return "2b=3a+k+1"
-    if core.predicate_plus(r, b):
-        return "b=3a+k+1"
-    if core.predicate_minus(r, b):
-        return "3b=3a+k+1"
-    return None
+# the multiple of b that 3r + k + 1 lands on, written as the congruence it proves
+_PREDICATES = {1: "b=3a+k+1", 2: "2b=3a+k+1", 3: "3b=3a+k+1"}
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -108,49 +93,35 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except PreconditionError as exc:
         return _precondition("classify", inputs, exc)
     outputs: dict[str, object] = {"tag": value.tag.value, "exact": str(value.exact)}
+    predicate = None
     try:
         w = core.master_witness(args.a, args.b)
-    except PreconditionError:
+    except PreconditionError:  # b divides 3a, as for r = 0 or b = 3
         outputs.update({"witness_k": None, "witness_nu": None, "boundary_count": None})
     else:
         outputs.update({"witness_k": w.k, "witness_nu": w.nu, "boundary_count": w.e1k})
-    outputs["predicate"] = _predicate_name(args.a, args.b)
-    _emit(OutputRecord("classify", inputs, outputs, "ok"))
-    return 0
-
-
-_SWEEP_COLUMNS = (
-    "b",
-    "phi_b",
-    "count_zero",
-    "count_plus",
-    "count_minus",
-    "closed_zero",
-    "closed_plus",
-    "closed_minus",
-    "consistent",
-)
+        if gcd(args.a, args.b) == 1:  # r = a mod b is in [1, b - 1], so 3r + k + 1 is b, 2b or 3b
+            predicate = _PREDICATES[(3 * (args.a % args.b) + w.k + 1) // args.b]
+    outputs["predicate"] = predicate
+    return _emit("classify", inputs, outputs)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import distribution
 
     reports = distribution.sweep_range(args.b_lo, args.b_hi, workers=args.workers)
-    by_b = {rep.b: rep for rep in reports}
+    rows = [asdict(rep) for rep in reports]
+    if args.b_lo <= 3 <= args.b_hi:
+        rows.insert(3 - args.b_lo, {"b": 3, "skipped": True})
     if args.format == "json":
-        payload: list[dict] = []
-        for b in range(args.b_lo, args.b_hi + 1):
-            payload.append({"b": 3, "skipped": True} if b == 3 else asdict(by_b[b]))
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
     else:
-        lines = [",".join(_SWEEP_COLUMNS)]
-        for b in range(args.b_lo, args.b_hi + 1):
-            if b == 3:
+        lines = [",".join(f.name for f in fields(distribution.SweepReport))]
+        for row in rows:
+            if "skipped" in row:
                 lines.append("3,,,,,,,,skipped")
-            else:
-                rep = by_b[b]
-                cells = [str(getattr(rep, col)) for col in _SWEEP_COLUMNS[:-1]]
-                lines.append(",".join(cells + [str(rep.consistent).lower()]))
+            else:  # each cell as JSON writes it: an int, or true / false
+                lines.append(",".join(map(json.dumps, row.values())))
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if all(rep.consistent for rep in reports) else 1
 
@@ -158,11 +129,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_totient(args: argparse.Namespace) -> int:
     from . import totient
 
-    inputs = {"n": args.n, "lo": str(args.lo), "hi": str(args.hi), "method": args.method}
-    bounds = totient.RangeBound(args.lo, args.hi)  # rejects lo > hi
-    integral = args.lo.denominator == 1 and args.hi.denominator == 1
+    bounds = totient.RangeBound(args.lo, args.hi)  # parses both, rejects lo > hi
+    inputs = {"n": args.n, "lo": str(bounds.lo), "hi": str(bounds.hi), "method": args.method}
+    integral = bounds.lo.denominator == 1 and bounds.hi.denominator == 1
     outputs: dict[str, object] = {}
-    status, code = "ok", 0
     # counted first so an n too large to factorize is refused before the gcd scan
     mobius = totient.phi_range_mobius(args.n, bounds) if args.method in ("mobius", "all") else None
     if args.method in ("direct", "all"):
@@ -174,7 +144,7 @@ def cmd_totient(args: argparse.Namespace) -> int:
         if not integral:
             raise ValueError("the approximation needs integer bounds")
         try:
-            ap = totient.phi_approx(args.n, int(args.lo), int(args.hi))
+            ap = totient.phi_approx(args.n, int(bounds.lo), int(bounds.hi))
         except PreconditionError as exc:
             return _precondition("totient", inputs, exc)
         outputs["approx_estimate"] = str(ap.estimate)
@@ -182,14 +152,10 @@ def cmd_totient(args: argparse.Namespace) -> int:
         outputs["approx_error"] = str(ap.error)
         outputs["approx_bound"] = ap.bound
     if args.method == "all":
-        consistent = outputs["direct"] == outputs["mobius"]
-        if "approx_exact" in outputs:
-            consistent = consistent and outputs["approx_exact"] == outputs["direct"]
-        outputs["consistent"] = consistent
-        if not consistent:
-            status, code = "inconsistent", 1
-    _emit(OutputRecord("totient", inputs, outputs, status))
-    return code
+        direct = outputs["direct"]
+        outputs["consistent"] = outputs["mobius"] == direct == outputs.get("approx_exact", direct)
+    status = "ok" if outputs.get("consistent", True) else "inconsistent"
+    return _emit("totient", inputs, outputs, status)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -246,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("totient", help="count coprime integers in a rational range")
     p.add_argument("n", type=int)
-    p.add_argument("lo", type=_rational)
-    p.add_argument("hi", type=_rational)
+    p.add_argument("lo")
+    p.add_argument("hi")
     p.add_argument("--method", choices=("direct", "mobius", "approx", "all"), default="all")
     p.set_defaults(func=cmd_totient)
 

@@ -1,21 +1,24 @@
 """End-to-end CLI runs through a real subprocess: formats and exit codes.
 
 The last section calls `cli.main` in this process instead, where a
-subprocess per case would be too slow: the two resource ceilings and a
+subprocess per case would be too slow: the resource ceilings, malformed
+range endpoints, classify's predicate for every a <= 3b and b <= 60, and a
 property over arbitrary operands.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+from math import gcd
 
 import pytest
 from conftest import run_cotsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotsum import cli, totient
+from cotsum import cli, core, totient
 from cotsum.numeric import _FLOAT_MAX_B
 from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
@@ -293,6 +296,35 @@ def test_totient_all_record_bytes():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "8b16dc759342faa2f4f8e76b057bd8b87930cd8eda3da55d6ae73bcf007e933d"
     assert list(json.loads(out)["outputs"])[:2] == ["direct", "mobius"]
+
+
+@pytest.mark.parametrize("endpoint", ["1/0", "x"])
+def test_malformed_endpoint_exits_2_naming_the_range_bound_rule(endpoint, capsys):
+    assert cli.main(["totient", "6", endpoint, "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a rational number" in captured.err
+
+
+def test_classify_predicate_names_the_public_predicate_that_holds():
+    # the record reads its predicate off the witness; the public predicates
+    # decide it independently on the reduced residue
+    named = {
+        core.predicate_plus: "b=3a+k+1",
+        core.predicate_zero: "2b=3a+k+1",
+        core.predicate_minus: "3b=3a+k+1",
+    }
+    for b in range(2, 61):
+        for a in range(1, 3 * b + 1):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.cmd_classify(argparse.Namespace(a=a, b=b, strict=False)) == 0
+            r = a % b
+            if r == 0 or gcd(r, b) > 1 or b == 3:
+                want = None
+            else:
+                [want] = [name for holds, name in named.items() if holds(r, b)]
+            assert json.loads(out.getvalue())["outputs"]["predicate"] == want, (a, b)
 
 
 def test_sweep_over_the_residue_ceiling():
