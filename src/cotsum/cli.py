@@ -20,10 +20,12 @@ Each command imports the layers it runs inside its own function, so a cold
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from math import gcd
+from typing import TextIO
 
 from .errors import PreconditionError
 
@@ -109,20 +111,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import distribution
 
-    reports = distribution.sweep_range(args.b_lo, args.b_hi, workers=args.workers)
-    rows = [asdict(rep) for rep in reports]
-    if args.b_lo <= 3 <= args.b_hi:
-        rows.insert(3 - args.b_lo, {"b": 3, "skipped": True})
-    if args.format == "json":
-        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
-    else:
-        lines = [",".join(f.name for f in fields(distribution.SweepReport))]
-        for row in rows:
-            if "skipped" in row:
-                lines.append("3,,,,,,,,skipped")
-            else:  # each cell as JSON writes it: an int, or true / false
-                lines.append(",".join(map(json.dumps, row.values())))
-        _write_text(args.out, "\n".join(lines) + "\n")
+    distribution._check_sweep_args(args.b_lo, args.b_hi, args.workers)
+    with _open_output(args.out) as out:
+        reports = distribution.sweep_range(args.b_lo, args.b_hi, workers=args.workers)
+        rows = [asdict(rep) for rep in reports]
+        if args.b_lo <= 3 <= args.b_hi:
+            rows.insert(3 - args.b_lo, {"b": 3, "skipped": True})
+        if args.format == "json":
+            out.write(json.dumps(rows, indent=2) + "\n")
+        else:
+            lines = [",".join(f.name for f in fields(distribution.SweepReport))]
+            for row in rows:
+                if "skipped" in row:
+                    lines.append("3,,,,,,,,skipped")
+                else:  # each cell as JSON writes it: an int, or true / false
+                    lines.append(",".join(map(json.dumps, row.values())))
+            out.write("\n".join(lines) + "\n")
     return 0 if all(rep.consistent for rep in reports) else 1
 
 
@@ -161,25 +165,32 @@ def cmd_totient(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    report = verify.run_checks(
-        max_b=args.max_b, max_n=args.max_n, seed=args.seed, workers=args.workers
-    )
-    for check in report["checks"]:
-        mark = "pass" if check["passed"] else "FAIL"
-        print(f"[{mark}] {check['module']}/{check['name']} ({check['cases']} cases)", file=sys.stderr)
-    for rec in report["expected_discrepancies"]:
-        mark = "pass" if rec["matches_pin"] else "FAIL"
-        print(f"[{mark}] pinned/{rec['name']}", file=sys.stderr)
-    _write_text(args.report, verify.report_text(report))
+    verify._check_run_args(args.max_b, args.max_n, args.seed, args.workers)
+    with _open_output(args.report) as out:
+        report = verify.run_checks(
+            max_b=args.max_b, max_n=args.max_n, seed=args.seed, workers=args.workers
+        )
+        for check in report["checks"]:
+            mark = "pass" if check["passed"] else "FAIL"
+            print(f"[{mark}] {check['module']}/{check['name']} ({check['cases']} cases)", file=sys.stderr)
+        for rec in report["expected_discrepancies"]:
+            mark = "pass" if rec["matches_pin"] else "FAIL"
+            print(f"[{mark}] pinned/{rec['name']}", file=sys.stderr)
+        out.write(verify.report_text(report))
     return 0 if report["summary"]["ok"] else 1
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_output(path: str) -> contextlib.AbstractContextManager[TextIO]:
+    """The stream a command writes its output to: stdout for -, else the file at path.
+
+    `sweep` and `verify` open it after their argument checks and before the
+    work, so an unwritable path exits 4 at once. The file is created or
+    emptied then and written whole once the work is done; a run stopped in
+    between (an interrupt, or an error the work raises) leaves it empty.
+    """
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:

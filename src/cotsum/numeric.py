@@ -34,7 +34,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import PreconditionError, check_int
 
@@ -79,29 +78,32 @@ def agrees(exact: Fraction, result: NumericResult, b: int) -> bool:
     return abs(float(exact) - result.value) <= tol(b)
 
 
-def _cots(b: int, ms: Iterable[int]) -> Iterator[float]:
-    """cot(pi*m/b) for each m in ms: the one expression both paths use."""
-    return (math.cos(math.pi * m / b) / math.sin(math.pi * m / b) for m in ms)
+def _terms(b: int, kind: str, ms: Iterable[int], r: int = 1, cot: bool = True) -> Iterator[float]:
+    """The term of each m in ms: cot(pi*m/b) times the `kind` factor at j = m*r mod b.
 
-
-def _powers(b: int, kind: str, ms: Iterable[int], r: int = 1) -> Iterator[float]:
-    """The `kind` factor at j = m*r mod b for each m in ms.
-
-    kind is "sin", "sin2" or "sin3" for a power of sin(2*pi*j/b), or "cos<q>"
-    for cos(2*pi*j/b)**q with q >= 1.
+    With cot false the factor comes alone, as the tables hold it. kind is
+    "sin", "sin2" or "sin3" for a power of sin(2*pi*j/b), "cos<q>"
+    for cos(2*pi*j/b)**q with q >= 1, or "cot", the cosine's zeroth power:
+    its factor is 1.0, so its terms are the cotangents themselves. Every float
+    expression of the oracle is written here once, and each term is computed
+    whole in one loop, so a tabled sum and a streamed one give the same bits.
     """
-    if kind.startswith("cos"):
-        q = int(kind[3:])
-        return (math.cos(_TWO_PI * (m * r % b) / b) ** q for m in ms)
-    # the powers come straight from a generator of sines: no sin list is built
-    sines = (math.sin(_TWO_PI * (m * r % b) / b) for m in ms)
-    if kind == "sin":
-        return sines
-    if kind == "sin2":
-        return (s * s for s in sines)
-    if kind == "sin3":
-        return (s * s * s for s in sines)
-    raise ValueError(f"unknown table kind {kind!r}")
+    if kind == "cot":
+        cosine, p = True, 0
+    elif kind in ("sin", "sin2", "sin3"):
+        cosine, p = False, int(kind[3:] or 1)
+    elif kind.startswith("cos") and kind[3:].isdecimal() and int(kind[3:]) >= 1:
+        cosine, p = True, int(kind[3:])
+    else:
+        raise ValueError(f"unknown table kind {kind!r}")
+    sin, cos, pi = math.sin, math.cos, math.pi
+    for m in ms:
+        if cosine:
+            f = cos(_TWO_PI * (m * r % b) / b) ** p if p else 1.0
+        else:
+            s = sin(_TWO_PI * (m * r % b) / b)
+            f = s if p == 1 else s * s if p == 2 else s * s * s
+        yield cos(pi * m / b) / sin(pi * m / b) * f if cot else f
 
 
 # Moduli up to _TABLE_MAX_B read cached tables; above it every term is
@@ -110,9 +112,9 @@ def _powers(b: int, kind: str, ms: Iterable[int], r: int = 1) -> Iterator[float]
 # and a cold `cotsum eval` at b = 4096 peaks at about 16.2 MB of RSS, as one
 # at b = 101 does (one at b = 99,991 peaked at 23.6 MB when every b had
 # tables). The trade-off: many sums at one modulus above the limit recompute
-# their trig every time. At b = 99,991 a streamed sum takes about 92 ms and
-# one over warm tables about 22 ms (shared 2-vCPU x86-64 host, Python 3.11);
-# a cold one over freshly built tables took about 97 ms. Nothing in the
+# their trig every time. At b = 99,991 a streamed sum takes 47-72 ms and one
+# over warm tables 12-22 ms (shared 2-vCPU x86-64 host, Python 3.11); a cold
+# one over freshly built tables took 75-95 ms. Nothing in the
 # battery or the tests sums repeatedly above the limit: the battery stops at
 # b = 300 and a CLI call makes one sum.
 _TABLE_MAX_B = 4096
@@ -136,14 +138,14 @@ _FLOAT_MAX_B = 10**7
 def _tables(b: int, kind: str) -> list[float]:
     """One trig table of modulus b <= _TABLE_MAX_B, indexed by m (cot) or j (the rest) in [0, b-1].
 
-    kind is "cot" for cot(pi*m/b) or one of the factor kinds of `_powers`.
+    kind is one of the kinds of `_terms`.
     """
     check_int("modulus b", b, 2)
     if b > _TABLE_MAX_B:
         raise ValueError(f"no table above b = {_TABLE_MAX_B}, got {b}; such sums are streamed")
     if kind == "cot":
-        return [0.0, *_cots(b, range(1, b))]  # index 0 unused, cot(0) never appears
-    return list(_powers(b, kind, range(b)))
+        return [0.0, *_terms(b, kind, range(1, b))]  # index 0 unused, cot(0) never appears
+    return list(_terms(b, kind, range(b), cot=False))
 
 
 def _check_sum_modulus(b: int) -> None:
@@ -163,9 +165,8 @@ def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
         s = math.fsum(cot[m] * table[m * r % b] for m in range(1, b))
         cot1 = cot[1]
     else:
-        ms = range(1, b)
-        s = math.fsum(map(mul, _cots(b, ms), _powers(b, kind, ms, r)))
-        cot1 = next(_cots(b, (1,)))
+        s = math.fsum(_terms(b, kind, range(1, b), r))
+        cot1 = next(_terms(b, "cot", (1,)))
     # |cot(pi*m/b)| peaks at m=1 and the other factor is at most 1,
     # so (b-1)*cot(pi/b) dominates the sum of |terms|, hence every partial sum
     return NumericResult(value=s, term_count=b - 1, abs_bound=(b - 1) * abs(cot1))

@@ -600,17 +600,22 @@ def _expected_discrepancies() -> list[dict]:
     return recs
 
 
+def _check_run_args(max_b: int, max_n: int, seed: int, workers: int) -> None:
+    """Every check run_checks makes before the work; `cotsum verify` makes them before it opens --report."""
+    check_int("max_b", max_b, 2)
+    check_int("max_n", max_n, 1)
+    check_int("workers", workers, 1)
+    # the report names the seed, so it must be the int that picked the stream
+    check_int("seed", seed)
+
+
 def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int = 1) -> dict:
     """Run the whole battery and return the report as a JSON-ready dict.
 
     The report depends only on (max_b, max_n, seed); workers only changes how
     the sweep check is scheduled, never its content or ordering.
     """
-    check_int("max_b", max_b, 2)
-    check_int("max_n", max_n, 1)
-    check_int("workers", workers, 1)
-    # the report names the seed, so it must be the int that picked the stream
-    check_int("seed", seed)
+    _check_run_args(max_b, max_n, seed, workers)
     ctx = _Ctx(max_b=max_b, max_n=max_n, workers=workers, rng=random.Random(seed))
     results = [check(ctx) for check in _CHECKS]
     discrepancies = _expected_discrepancies()

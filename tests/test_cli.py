@@ -18,7 +18,7 @@ from conftest import run_cotsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotsum import cli, core, totient
+from cotsum import cli, core, distribution, totient, verify
 from cotsum.numeric import _FLOAT_MAX_B
 from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
@@ -325,6 +325,48 @@ def test_classify_predicate_names_the_public_predicate_that_holds():
             else:
                 [want] = [name for holds, name in named.items() if holds(r, b)]
             assert json.loads(out.getvalue())["outputs"]["predicate"] == want, (a, b)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the work ran although its output path cannot be written")
+
+
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [
+        (("verify", "--report", "/nonexistent-dir/r.json"), verify, "run_checks"),
+        (("sweep", "2", "50", "--out", "/nonexistent-dir/r.csv"), distribution, "sweep_range"),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_unwritable_output_exits_4_before_the_work(argv, module, name, monkeypatch):
+    monkeypatch.setattr(module, name, _never)
+    assert main_in_process(*argv) == (4, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-b", "1", "--report", "/nonexistent-dir/r.json"),
+        ("verify", "--workers", "0", "--report", "/nonexistent-dir/r.json"),
+        ("sweep", "2", "10000000000", "--out", "/nonexistent-dir/r.csv"),
+        ("sweep", "6", "5", "--out", "/nonexistent-dir/r.csv"),
+        ("sweep", "2", "6", "--workers", "0", "--out", "/nonexistent-dir/r.csv"),
+    ],
+)
+def test_bad_arguments_and_a_bad_path_exit_2(argv):
+    assert main_in_process(*argv) == (2, "")
+
+
+def test_a_run_stopped_after_the_open_leaves_an_empty_file(tmp_path, monkeypatch):
+    def stop(*args, **kwargs):
+        raise ValueError("stopped partway")
+
+    monkeypatch.setattr(verify, "run_checks", stop)
+    path = tmp_path / "r.json"
+    path.write_text("an older report")
+    assert main_in_process("verify", "--report", str(path)) == (2, "")
+    assert path.read_text() == ""
 
 
 def test_sweep_over_the_residue_ceiling():

@@ -1,10 +1,11 @@
 """Per-modulus value distribution and its closed-form prediction."""
 
 import concurrent.futures
+from math import gcd
 
 import pytest
 
-from cotsum import distribution
+from cotsum import core, distribution
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
 from cotsum.errors import PreconditionError
 from cotsum.totient import RangeBound, euler_phi, phi_range_direct
@@ -35,6 +36,48 @@ def test_sweep_counts_partition_phi():
         assert r.consistent
         assert r.count_zero + r.count_plus + r.count_minus == r.phi_b
         assert r.count_plus == r.count_minus
+
+
+def test_sweep_tallies_equal_the_public_classifier():
+    # the tally loop against core.classify rather than the closed forms
+    index = {core.CotTag.ZERO: 0, core.CotTag.PLUS_HALF_B: 1, core.CotTag.MINUS_HALF_B: 2}
+    for b in range(2, 301):
+        if b == 3:
+            continue
+        tally = [0, 0, 0]
+        for a in range(1, b):
+            if gcd(a, b) == 1:
+                tally[index[core.classify(a, b).tag]] += 1
+        r = sweep(b)
+        assert (r.count_zero, r.count_plus, r.count_minus) == tuple(tally), b
+
+
+def test_sweep_calls_kernel_and_tag_once_per_coprime_residue(monkeypatch):
+    calls = {"_kernel": 0, "_tag": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(distribution, name, counting(name, getattr(distribution, name)))
+    for b in (2, 4, 5, 12, 97, 210):
+        calls.update(_kernel=0, _tag=0)
+        assert sweep(b).consistent
+        assert calls == {"_kernel": euler_phi(b), "_tag": euler_phi(b)}, b
+
+
+def test_sweep_reads_the_tag_binding(monkeypatch):
+    tag = distribution._tag
+    monkeypatch.setattr(distribution, "_tag", lambda num, den, b: 3 if b > 10 else tag(num, den, b))
+    assert sweep(10).consistent
+    for b in (11, 12, 97):
+        r = sweep(b)
+        assert not r.consistent
+        assert (r.count_zero, r.count_plus, r.count_minus) == (0, 0, 0)
 
 
 def test_closed_form_counts_example():

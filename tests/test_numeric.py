@@ -173,6 +173,12 @@ def test_tables_refuse_moduli_above_the_limit():
     _tables.cache_clear()
 
 
+@pytest.mark.parametrize("kind", ["tan", "sin4", "sin0", "cos", "cos0", "cosx", "cos-1"])
+def test_tables_refuse_unknown_kinds(kind):
+    with pytest.raises(ValueError, match="unknown table kind"):
+        _tables(5, kind)
+
+
 @pytest.mark.parametrize(
     "call",
     [
