@@ -9,22 +9,33 @@ contiguous run of the a-line:
 
 (the gaps at a = b/3 and a = 2b/3 are never coprime to b). The closed forms
 are the coprime counts of those three intervals, each an inclusion-exclusion
-count over the squarefree divisors of b (`phi_range_mobius`). A sweep
+count over the squarefree divisors of b (`totient._mobius_count`). A sweep
 evaluates S(1, a, b) for every coprime a by the integer kernel of `core`,
 tallies the observed tags against the closed forms and reports whether they
-match. The two sides share no code path: one scans residues with gcd, the
-other never looks at a single residue.
+match.
+
+The sweep finds its coprime residues with a sieve, not a gcd per residue. It
+walks a = 1..b-1 in blocks of _BLOCK residues, each with a bytearray of live
+flags, and clears the multiples of every prime divisor of b met so far. A
+live a > 1 that divides b has no smaller prime factor in common with b, so it
+is the next prime divisor of b: it is recorded, its multiples are cleared and
+it is skipped. Every other live a is coprime to b. Memory stays at one block
+whatever b is.
+
+The two sides share no code path: the residue scan finds b's prime divisors
+itself and calls neither gcd nor `totient`, while the closed forms start from
+`totient`'s factorization and never look at a single residue.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
 
+from . import totient
 from .core import _kernel, _tag
 from .errors import PreconditionError, check_int
-from .totient import RangeBound, euler_phi, phi_range_mobius
 
 __all__ = ["SweepReport", "closed_form_counts", "sweep", "sweep_range"]
 
@@ -51,13 +62,23 @@ class SweepReport:
             raise ValueError(f"consistent flag wrong for b={self.b}")
 
 
-# A sweep classifies every residue a in [1, b-1] of each modulus, 0.35-0.6 us
-# each: sweep(100003) took 0.044-0.085 s, sweep_range(2, 3000) 1.6-2.5 s and
-# sweep_range(2, 10000), 5 * 10^7 residues, 27.6 s (shared 2-vCPU x86-64
-# host, Python 3.11). So sweep and sweep_range refuse more than _SWEEP_MAX
-# residues in all, 15-30 s of work, before any is classified;
-# sweep_range(2, 5000) holds 12.5 M of them.
+# A sweep sieves every residue a in [1, b-1] of each modulus and classifies
+# the coprime ones, 0.25-0.35 us a residue in all: sweep(100003) took
+# 0.034-0.055 s, sweep_range(2, 3000) 1.2-1.5 s and sweep_range(2, 10000),
+# 5 * 10^7 residues, 12.9-14.7 s (shared 2-vCPU x86-64 host, Python 3.11).
+# So sweep and sweep_range refuse more than _SWEEP_MAX residues in all, 10-20 s
+# of work, before any is classified; sweep_range(2, 5000) holds 12.5 M of them.
 _SWEEP_MAX = 5 * 10**7
+
+
+# The sweep's sieve block, in residues: its live flags take one byte each, so
+# a sweep of any b holds one 32 KiB block of them at a time.
+_BLOCK = 1 << 15
+
+
+def _clear(live: bytearray, start: int, step: int) -> None:
+    """Clear live[start::step]: the multiples of step from the first at start."""
+    live[start::step] = bytes(len(range(start, len(live), step)))
 
 
 def _check_residues(b_lo: int, b_hi: int) -> None:
@@ -77,9 +98,9 @@ def _check_sweep_args(b_lo: int, b_hi: int, workers: int) -> None:
 
 
 def _interval_phi(b: int, lo: int, hi: int) -> int:
-    if lo > hi:
-        return 0
-    return phi_range_mobius(b, RangeBound(lo, hi))
+    # the kernel is looked up on `totient` at each call, so a patched one is
+    # the one that counts
+    return totient._mobius_count(b, lo, 1, hi, 1, 1) if lo <= hi else 0
 
 
 def closed_form_counts(b: int) -> tuple[int, int, int]:
@@ -103,12 +124,23 @@ def sweep(b: int) -> SweepReport:
         raise PreconditionError("b = 3 has no three-way split to sweep")
     _check_residues(b, b)
     counts = [0, 0, 0, 0]  # indexed by core._tag: zero, plus, minus, other
-    for a in range(1, b):
-        if gcd(a, b) == 1:
-            # unpacked into names, not _tag(*_kernel(a, b), b): a star-call
-            # builds an argument tuple on every residue
-            num, den = _kernel(a, b)
-            counts[_tag(num, den, b)] += 1
+    primes: list[int] = []  # the prime divisors of b met so far
+    for lo in range(1, b, _BLOCK):
+        hi = min(lo + _BLOCK, b)
+        live = bytearray(b"\x01") * (hi - lo)  # live[i] stands for a = lo + i
+        for p in primes:
+            _clear(live, -lo % p, p)
+        # compress reads each flag as it reaches it, so a prime found in this
+        # block clears its later multiples before they come up
+        for a in compress(range(lo, hi), live):
+            if b % a or a == 1:
+                # unpacked into names, not _tag(*_kernel(a, b), b): a star-call
+                # builds an argument tuple on every residue
+                num, den = _kernel(a, b)
+                counts[_tag(num, den, b)] += 1
+            else:  # a live divisor of b: its next prime divisor
+                primes.append(a)
+                _clear(live, a - lo, a)
     zero, plus, minus = closed_form_counts(b)
     observed = (counts[0], counts[1], counts[2])
     # a stray OTHER tag cannot hide: the closed forms partition phi(b), so any
@@ -116,7 +148,7 @@ def sweep(b: int) -> SweepReport:
     consistent = observed == (zero, plus, minus)
     return SweepReport(
         b=b,
-        phi_b=euler_phi(b),
+        phi_b=totient.euler_phi(b),
         count_zero=observed[0],
         count_plus=observed[1],
         count_minus=observed[2],

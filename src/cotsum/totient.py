@@ -9,12 +9,13 @@ Three independent routes are provided so they can cross-check each other:
   phi_decomposition  prefix counts: phi(n,[1,hi]) - phi(n,[1,lo]) + [gcd(n,lo)=1]
                      with each prefix via legendre_phi
 
-phi_range_mobius, its half-open variant, phi_approx and the gcd partition all
-count through one private inclusion-exclusion kernel on plain ints, and build
-a Fraction only where one is returned. phi_range_direct and legendre_phi stay
-off that kernel: they are the independent routes the others are checked
-against. The two gcd scans, phi_range_direct and coprime_sum, refuse a range
-of more than _SCAN_MAX (10^7) integers with a ValueError naming the limit.
+phi_range_mobius, its half-open variant, phi_approx, the gcd partition and
+`distribution.closed_form_counts` all count through one private
+inclusion-exclusion kernel on plain ints, and build a Fraction only where one
+is returned. phi_range_direct and legendre_phi stay off that kernel: they are
+the independent routes the others are checked against. The two gcd scans,
+phi_range_direct and coprime_sum, refuse a range of more than _SCAN_MAX
+(10^7) integers with a ValueError naming the limit.
 
 Every other count starts from n's factorization, `arithmetic_profile(n)`,
 which refuses n above _FACTOR_MAX (10^14) and is memoized for the last 1024

@@ -1,6 +1,7 @@
 """Per-modulus value distribution and its closed-form prediction."""
 
 import concurrent.futures
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -52,22 +53,55 @@ def test_sweep_tallies_equal_the_public_classifier():
         assert (r.count_zero, r.count_plus, r.count_minus) == tuple(tally), b
 
 
+# Moduli longer than one sieve block (2^15 residues): 2 * 32771 meets its
+# prime divisor 32771 only in the second block, the prime 65537 spans three
+# blocks and the primorial 510510 = 2 * 3 * ... * 17 spans sixteen.
+MULTI_BLOCK_MODULI = (65542, 65537, 510510)
+
+
 def test_sweep_calls_kernel_and_tag_once_per_coprime_residue(monkeypatch):
-    calls = {"_kernel": 0, "_tag": 0}
+    kernel, tag = distribution._kernel, distribution._tag
+    residues = []
+    tags = [0]
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counting_kernel(a, b):
+        residues.append(a)
+        return kernel(a, b)
 
-        return wrapper
+    def counting_tag(num, den, b):
+        tags[0] += 1
+        return tag(num, den, b)
 
-    for name in calls:
-        monkeypatch.setattr(distribution, name, counting(name, getattr(distribution, name)))
-    for b in (2, 4, 5, 12, 97, 210):
-        calls.update(_kernel=0, _tag=0)
-        assert sweep(b).consistent
-        assert calls == {"_kernel": euler_phi(b), "_tag": euler_phi(b)}, b
+    monkeypatch.setattr(distribution, "_kernel", counting_kernel)
+    monkeypatch.setattr(distribution, "_tag", counting_tag)
+    for b in (2, 4, 5, 12, 97, 210) + MULTI_BLOCK_MODULI:
+        residues.clear()
+        tags[0] = 0
+        r = sweep(b)
+        assert r.consistent, b
+        # the residues the kernel saw, in order, are exactly the gcd-filtered ones
+        coprime = [a for a in range(1, b) if gcd(a, b) == 1]
+        assert residues == coprime, b
+        assert tags[0] == len(coprime) == euler_phi(b), b
+        tally = [0, 0, 0, 0]
+        for a in coprime:
+            tally[tag(*kernel(a, b), b)] += 1
+        assert (r.count_zero, r.count_plus, r.count_minus, 0) == tuple(tally), b
+
+
+def test_sweep_memory_stays_within_a_block():
+    # 270270 = 2 * 3 * 5 * 7 * 11 * 13 * 9 is over eight blocks long; a sieve
+    # holding one flag per residue of b would trace about 264 KiB
+    b = 270270
+    sweep(5)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        r = sweep(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.consistent
+    assert peak < 96 * 2**10, peak
 
 
 def test_sweep_reads_the_tag_binding(monkeypatch):

@@ -212,6 +212,14 @@ def _tolerance_below_0(tol):
     return lambda b: -1.0
 
 
+def _negated_above_2b_at_n_2(eval_exact):
+    return lambda n, a, b: -eval_exact(n, a, b) if n == 2 and a > 2 * b else eval_exact(n, a, b)
+
+
+def _halved_for_even_b(eval_exact):
+    return lambda n, a, b: eval_exact(n, a, b) / 2 if b % 2 == 0 else eval_exact(n, a, b)
+
+
 # id: (module, attribute, mutant of the original, report sha256 at (12, 30, 0),
 # the failing checks with their case counts at the first failure)
 MUTANTS = {
@@ -238,6 +246,14 @@ MUTANTS = {
     "tolerance-below-0": (
         numeric, "tol", _tolerance_below_0, "426e070718e9c0e52df51b821e48673094e5394eca27592442c6cdb72769aaff",
         [("known-values", 2), ("float-oracle-agreement", 1), ("vanishing-cosine-powers", 1), ("vanishing-sine-squares", 1), ("sine-sum-fractional-part", 1)],
+    ),
+    "negated-above-2b-at-n-2": (
+        core, "eval_exact", _negated_above_2b_at_n_2, "42b1d057b1ab69872b1707f88af46d27b72e01f314f0cab8abfc2f911243d338",
+        [("periodicity-in-first-argument", 20)],
+    ),
+    "halved-for-even-b": (
+        core, "eval_exact", _halved_for_even_b, "4d8d50b16aa7ce4f6476b2178e8a4c1505983373f71d734b38da5381b6f796ef",
+        [("known-values", 7), ("even-modulus-integrality", 4), ("master-congruence-witness", 4), ("float-oracle-agreement", 46)],
     ),
 }
 
