@@ -79,15 +79,15 @@ class CotSumValue:
     exact: Fraction
 
     def __post_init__(self) -> None:
-        # a Fraction carries its sign on the numerator
-        num = self.exact.numerator
-        want = {
-            CotTag.ZERO: num == 0,
-            CotTag.PLUS_HALF_B: num > 0,
-            CotTag.MINUS_HALF_B: num < 0,
-        }
-        if self.tag in want and not want[self.tag]:
-            raise ValueError(f"tag {self.tag.value} inconsistent with value {self.exact}")
+        # a Fraction carries its sign on the numerator; identity tests on
+        # the members, since Enum hashing is a Python-level call
+        num, tag = self.exact.numerator, self.tag
+        if (
+            (tag is CotTag.ZERO and num != 0)
+            or (tag is CotTag.PLUS_HALF_B and num <= 0)
+            or (tag is CotTag.MINUS_HALF_B and num >= 0)
+        ):
+            raise ValueError(f"tag {tag.value} inconsistent with value {self.exact}")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ phi_range_direct and coprime_sum, refuse a range of more than _SCAN_MAX
 (10^7) integers with a ValueError naming the limit.
 
 Every other count starts from n's factorization, `arithmetic_profile(n)`,
-which refuses n above _FACTOR_MAX (10^14) and is memoized for the last 1024
+which refuses n above _FACTOR_MAX (10^14) and is memoized for the last 256
 distinct n: callers ask for one n many times in a row, so that keeps every
-repeat a hit while a loop over millions of n stays at about 1 MB of profiles
-instead of growing without limit (about 0.9 KB per n).
+repeat a hit while a loop over millions of n stays at about 0.25 MB of
+profiles instead of growing without limit (about 0.9 KB per n).
 
 On top of those: the main-term approximation with its explicit 2 * 2^omega(n)
 error bound, a divisor-level partition of a range by gcd, and the paired sum
@@ -147,19 +147,28 @@ class ArithmeticProfile:
 
 # Sized to the reuse its callers show: each asks for one n many times in a
 # row (50-200 calls per n in the battery's totient checks, 4-5 per b in a
-# sweep) and the gcd partition reuses divisors n/d <= 500. A profile is about
-# 0.9 KB, so unbounded the battery held 10,000 of them and a library loop of
-# euler_phi over 10^7 integers would hold about 9 GB. One process running
-# run_checks(500, 2000, 42), Python 3.11 on Linux x86-64:
-#   profile size / _tables size   peak RSS   profile misses
-#   unbounded / 64                31.9 MB    10,000
-#   2048 / 8                      22.8 MB    12,000
-#   1024 / 8                      22.0 MB    12,500
-# A miss costs about 10 us (a fresh factorization), so the 2,500 extra misses
-# add about 0.03 s; a hit costs the same 0.1 us bounded or not.
-@lru_cache(maxsize=1024)
+# sweep), and only the gcd partition reads other n, its divisors n/d <= 500.
+# A profile is about 0.9 KB, so unbounded the battery held 10,000 of them and
+# a library loop of euler_phi over 10^7 integers would hold about 9 GB. One
+# process running run_checks(500, 2000, 42), Python 3.11 on Linux x86-64
+# (the first rows measured peak RSS, the later ones its rise above the import):
+#   profile size / _tables size   peak RSS   above import   profile misses
+#   unbounded / 64                31.9 MB    -              10,000
+#   2048 / 8                      22.8 MB    -              12,000
+#   1024 / 8                      22.0 MB    +1.16 MB       12,500
+#   512 / 8                       -          +0.66 MB       13,499
+#   256 / 8                       -          +0.38 MB       14,660
+#   64 / 8                        -          +0.29 MB       15,763
+#   32 / 8                        -          -              16,202
+#   16 / 8                        -          -              29,266
+# Below 32 the partition's divisor sets stop fitting. A miss costs about
+# 10 us for n <= 10^4, so 256 adds about 0.02-0.03 s to the battery over
+# 1024; but a miss near _FACTOR_MAX costs 0.3-0.5 s, and 256 still lets a
+# caller rotate over a couple of hundred large n and keep its hits. A hit
+# costs the same 0.1 us bounded or not.
+@lru_cache(maxsize=256)
 def arithmetic_profile(n: int) -> ArithmeticProfile:
-    """Factorization-derived data for n, memoized for the last 1024 distinct n.
+    """Factorization-derived data for n, memoized for the last 256 distinct n.
 
     n is at most _FACTOR_MAX (10^14); a larger n raises ValueError.
     """

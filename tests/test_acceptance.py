@@ -4,8 +4,10 @@ One test per advertised guarantee; each prints a single pass/fail line (shown
 live, outside pytest's capture) so a log scan gives the verdict at a glance.
 Criteria the battery covers read one full battery run shared across tests,
 with the bounds pinned to (max_b=500, max_n=2000, seed=42); each asserts its
-check passed over a domain no smaller than the one its label states. Only the
-spot values and the CLI contract run here on their own.
+check passed over a domain no smaller than the one its label states. That run
+is a `cotsum verify` child, started at collection (tests/conftest.py) like
+the CLI contract's verify run, and these tests run last, so the rest of the
+suite overlaps both. Only the spot values run in this process.
 """
 
 import hashlib
@@ -16,7 +18,6 @@ import pytest
 from conftest import run_cotsum
 
 from cotsum import eval_exact, eval_float, tol
-from cotsum.verify import report_text, run_checks
 
 
 def announce(capsys, label: str, ok: bool, detail: str = "") -> None:
@@ -27,8 +28,8 @@ def announce(capsys, label: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="session")
-def full_report():
-    return run_checks(max_b=500, max_n=2000, seed=42)
+def full_report(battery_stdout):
+    return json.loads(battery_stdout)
 
 
 def report_check(report, module, name):
@@ -123,8 +124,8 @@ def test_symmetric_coprime_sum(capsys, full_report):
 REPORT_SHA256_SEED_42 = "8b3727984337b19fd0a01c18fb0b70a9bcf75ffd00722484797d2d5fc0ebb562"
 
 
-def test_report_bytes_pinned(capsys, full_report):
-    digest = hashlib.sha256(report_text(full_report).encode()).hexdigest()
+def test_report_bytes_pinned(capsys, battery_stdout):
+    digest = hashlib.sha256(battery_stdout).hexdigest()
     announce(capsys, "report bytes for max_b=500, max_n=2000, seed=42 match the pinned sha256",
              digest == REPORT_SHA256_SEED_42, f"sha256 {digest[:12]}...")
 
@@ -156,14 +157,13 @@ def test_spot_values_both_paths(capsys):
              ok, "exact and float paths")
 
 
-def test_cli_contract(capsys, tmp_path):
-    report_path = tmp_path / "report.json"
-    verify_proc = run_cotsum("verify", "--max-b", "100", "--max-n", "500", "--seed", "42",
-                             "--report", str(report_path), timeout=600)
-    ok = verify_proc.returncode == 0
+def test_cli_contract(capsys, contract_verify):
+    verify_rc, report_path = contract_verify
+    ok = verify_rc == 0
     reparsed = {}
     if ok:
-        reparsed = json.loads(report_path.read_text())
+        with open(report_path, encoding="utf-8") as f:
+            reparsed = json.load(f)
         ok = reparsed["summary"]["ok"] is True
 
     sweep_proc = run_cotsum("sweep", "2", "50", timeout=600)
@@ -171,4 +171,4 @@ def test_cli_contract(capsys, tmp_path):
     rows = [ln for ln in sweep_proc.stdout.strip().split("\n")[1:] if not ln.startswith("3,")]
     ok = ok and len(rows) == 48 and all(ln.endswith(",true") for ln in rows)
     announce(capsys, "cli: verify --max-b 100 --max-n 500 --seed 42 exits 0, report re-parses; sweep 2 50 emits 48 consistent rows",
-             ok, f"verify rc={verify_proc.returncode}, {len(rows)} sweep rows")
+             ok, f"verify rc={verify_rc}, {len(rows)} sweep rows")

@@ -164,12 +164,12 @@ def test_trichotomy_small_exhaustive():
 
 
 def test_cotsumvalue_tag_must_match_value():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tag Zero inconsistent with value 1$"):
         CotSumValue(tag=CotTag.ZERO, exact=Fraction(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tag PlusHalfB inconsistent with value -2$"):
         CotSumValue(tag=CotTag.PLUS_HALF_B, exact=Fraction(-2))
     for bad in (Fraction(0), Fraction(1, 2)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^tag MinusHalfB inconsistent with value {bad}$"):
             CotSumValue(tag=CotTag.MINUS_HALF_B, exact=bad)
     # each sign passes under its own tag, and Other takes any value
     CotSumValue(tag=CotTag.ZERO, exact=Fraction(0))

@@ -54,18 +54,41 @@ def test_profile_fields():
 
 
 def test_profile_cache_is_bounded():
-    assert arithmetic_profile.cache_info().maxsize == 1024
+    assert arithmetic_profile.cache_info().maxsize == 256
     arithmetic_profile.cache_clear()
     for n in range(1, 5001):
         arithmetic_profile(n)
     info = arithmetic_profile.cache_info()
-    assert info.currsize <= 1024
+    assert info.currsize <= 256
     assert info.misses == 5000
-    # n = 1..3976 were evicted; a re-read is a miss that refactors n afresh
+    # n = 1..4744 were evicted; a re-read is a miss that refactors n afresh
     for n in (1, 12, 30, 97, 360, 2310):
         misses = arithmetic_profile.cache_info().misses
         assert arithmetic_profile(n) == arithmetic_profile.__wrapped__(n)
         assert arithmetic_profile.cache_info().misses == misses + 1
+
+
+def test_profile_cache_keeps_its_callers_repeats():
+    # the battery's two access patterns, from a cleared cache. phi_approx
+    # reads one n many times in a row: each profile is built once.
+    arithmetic_profile.cache_clear()
+    for n in range(2, 202):
+        for lo in range(1, 101):
+            phi_approx(n, lo, 2 * lo + n)
+    assert arithmetic_profile.cache_info().misses == 200
+    # the gcd partition reads every n/d for d | n on each call, so its
+    # working set is d(n) profiles, 24 at most for n <= 500 (n = 360); once
+    # they fit, only a first call per n misses, and at most once per (n, d),
+    # sum_{n <= 500} d(n) = sum_{d <= 500} 500 // d times in all. At maxsize
+    # 16 the 50 calls per n missed 15,014 times against 500 distinct n.
+    arithmetic_profile.cache_clear()
+    for n in range(1, 501):
+        for call in range(50):
+            divisor_partition_identity(n, call + 1, call + 3 * n)
+            if call == 0:
+                first = arithmetic_profile.cache_info().misses
+        assert arithmetic_profile.cache_info().misses == first, n
+    assert arithmetic_profile.cache_info().misses <= sum(500 // d for d in range(1, 501))
 
 
 def test_profile_against_sieve():

@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -220,6 +222,28 @@ def _halved_for_even_b(eval_exact):
     return lambda n, a, b: eval_exact(n, a, b) / 2 if b % 2 == 0 else eval_exact(n, a, b)
 
 
+def _frac_part_1_at_multiples(frac_part):
+    # {x} taken in (0, 1] instead of [0, 1)
+    return lambda n, a, b: frac_part(n, a, b) or Fraction(1)
+
+
+def _prime_square_read_as_prime(arithmetic_profile):
+    # what trial division bounded by p * p < n, not p * p <= n, makes of
+    # n = p^2, p >= 5: one prime n, a profile that still validates itself
+    def mutant(n):
+        profile = arithmetic_profile(n)
+        if n < 25 or [e for _, e in profile.prime_powers] != [2]:
+            return profile
+        return totient.ArithmeticProfile(n, ((n, 1),), 1, -1, n - 1, ((1, 1), (n, -1)))
+
+    return mutant
+
+
+def _coprime_sum_drops_lo(coprime_sum):
+    # the sum over (lo, hi] instead of [lo, hi]
+    return lambda n, lo, hi, strict=True: coprime_sum(n, lo, hi, strict) - lo * (gcd(n, lo) == 1)
+
+
 # id: (module, attribute, mutant of the original, report sha256 at (12, 30, 0),
 # the failing checks with their case counts at the first failure)
 MUTANTS = {
@@ -254,6 +278,18 @@ MUTANTS = {
     "halved-for-even-b": (
         core, "eval_exact", _halved_for_even_b, "4d8d50b16aa7ce4f6476b2178e8a4c1505983373f71d734b38da5381b6f796ef",
         [("known-values", 7), ("even-modulus-integrality", 4), ("master-congruence-witness", 4), ("float-oracle-agreement", 46)],
+    ),
+    "frac-part-1-at-multiples": (
+        exact, "frac_part", _frac_part_1_at_multiples, "00dfaebb4a489d77cabae59f008b6b7de6992d7afdec74e4e4652f55daf2eefe",
+        [("shift-rule-vs-direct-reduction", 1), ("unit-shift-rules", 1)],
+    ),
+    "prime-square-read-as-prime": (
+        totient, "arithmetic_profile", _prime_square_read_as_prime, "4f269428770a9fe7d059431b134c99091fb23cfef78fee8c403c1a36b81c863e",
+        [("profile-invariants", 25), ("prefix-exhaustive-agreement", 1025), ("random-rational-agreement", 4921), ("prefix-decomposition", 4585)],
+    ),
+    "coprime-sum-drops-lo": (
+        totient, "coprime_sum", _coprime_sum_drops_lo, "e1799655ee4fc6655405627d301dceda4e6d97256d708cb5900cc05e7a80f052",
+        [("symmetric-coprime-sum", 2)],
     ),
 }
 
