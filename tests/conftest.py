@@ -1,9 +1,12 @@
-"""Shared helpers for tests that start a fresh interpreter, and the acceptance
-tests' `cotsum verify` runs, started at collection as children that work
-beside the rest of the suite."""
+"""Shared test helpers: `run_cli`, the one way a test drives the CLI in this
+process; `run_python` and `run_cotsum` for tests of a fresh interpreter; and
+the acceptance tests' `cotsum verify` runs, started at collection as children
+that work beside the rest of the suite."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -12,6 +15,8 @@ import tempfile
 from typing import IO
 
 import pytest
+
+from cotsum import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -22,6 +27,20 @@ CHILDREN = {
     "contract_verify": ("verify", "--max-b", "100", "--max-n", "500", "--seed", "42",
                         "--report", "{tmp}/report.json"),
 }
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main(argv) in this process.
+
+    argparse's SystemExit counts as its code, as it would for `python -m cotsum`.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def child_env() -> dict[str, str]:

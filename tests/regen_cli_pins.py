@@ -1,10 +1,11 @@
 """The CLI argv corpus and the script that regenerates its pins.
 
-`CORPUS` lists (argv, mutant) pairs for the five commands. `run` passes one
-argv through `cli.main` in this process, under one of the golden net's
-mutants from tests/test_verify.py when `mutant` names one, and returns its exit
-code and the sha256 of what it wrote to stdout. tests/cli_pins.json holds
-those pairs for every entry, and tests/test_cli_pins.py replays them.
+`CORPUS` lists (argv, mutant) pairs for the five commands. `run` applies one
+of the golden net's mutants from tests/test_verify.py when `mutant` names
+one, runs the argv through the tests' one CLI runner, `conftest.run_cli`
+(`cli.main` in this process), and returns its exit code and the sha256 of
+what it wrote to stdout. tests/cli_pins.json holds those pairs for every
+entry, and tests/test_cli_pins.py replays them.
 
 Rewrite the pins from the repository root with
 
@@ -17,14 +18,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import pathlib
 from unittest import mock
 
+from conftest import run_cli
 from test_verify import _kernel_plus_b_above_10, _mobius_plus_1_where_7_divides_n, _tolerance_below_0
 
-from cotsum import cli, distribution, numeric, totient
+from cotsum import distribution, numeric, totient
 from cotsum.numeric import _FLOAT_MAX_B, _TABLE_MAX_B
 from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
@@ -40,19 +41,14 @@ MUTANTS = {
 
 
 def run(argv: list[str], mutant: str | None = None) -> tuple[int, str]:
-    """(exit code, stdout sha256) of cli.main(argv); argparse's SystemExit counts as its code."""
-    out = io.StringIO()
-    with contextlib.ExitStack() as stack:
-        if mutant is not None:
-            module, attr, make = MUTANTS[mutant]
-            stack.enter_context(mock.patch.object(module, attr, make(getattr(module, attr))))
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    """(exit code, stdout sha256) of run_cli(*argv), under `mutant` if it names one."""
+    patch = contextlib.nullcontext()
+    if mutant is not None:
+        module, attr, make = MUTANTS[mutant]
+        patch = mock.patch.object(module, attr, make(getattr(module, attr)))
+    with patch:
+        code, out, _ = run_cli(*argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 def _eval() -> list[list[str]]:

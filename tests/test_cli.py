@@ -1,9 +1,10 @@
-"""End-to-end CLI runs through a real subprocess: formats and exit codes.
+"""The CLI's formats and exit codes, through `cli.main` in this process.
 
-The last section calls `cli.main` in this process instead, where a
-subprocess per case would be too slow: the resource ceilings, malformed
-range endpoints, classify's predicate for every a <= 3b and b <= 60, and a
-property over arbitrary operands.
+Every test drives the CLI through `conftest.run_cli`, which returns what
+`python -m cotsum` would: the exit code, stdout and stderr. One test runs a
+real `python -m cotsum` per subcommand and checks that the runner agrees with
+it byte for byte. The classify predicate table calls `cli.cmd_classify`
+directly: a parser per call would cost seconds over its 5,500 operands.
 """
 
 import argparse
@@ -14,18 +15,13 @@ import json
 from math import gcd
 
 import pytest
-from conftest import run_cotsum
+from conftest import run_cli, run_cotsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotsum import cli, core, distribution, totient, verify
 from cotsum.numeric import _FLOAT_MAX_B
-from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
-
-
-def run_cli(*args: str):
-    proc = run_cotsum(*args)
-    return proc.returncode, proc.stdout, proc.stderr
+from cotsum.totient import _EXPONENT_MAX, _FACTOR_MAX, _SCAN_MAX
 
 
 # --- eval --------------------------------------------------------------------
@@ -240,23 +236,33 @@ def test_verify_stdout_report_parses():
     assert report["summary"]["failed"] == 0
 
 
-# --- in process: ceilings and a property over main ---------------------------
+# --- the process boundary ----------------------------------------------------
 
 
-def main_in_process(*argv: str) -> tuple[int, str]:
-    """(exit code, stdout) of cli.main(argv); argparse's SystemExit counts as its code."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "-n", "2", "-a", "3", "-b", "7", "--mode", "both"),
+        ("classify", "-a", "2", "-b", "5"),
+        ("totient", "12", "5", "17", "--method", "all"),
+        ("sweep", "2", "30", "--workers", "2"),
+        ("verify", "--max-b", "12", "--max-n", "30", "--seed", "0"),
+    ],
+    ids=["eval", "classify", "totient", "sweep", "verify"],
+)
+def test_python_m_cotsum_writes_what_the_in_process_runner_writes(argv):
+    # covers __main__.py and, for sweep, a real pool in a real process
+    proc = run_cotsum(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2]
+
+
+# --- ceilings, early refusals and a property over main ----------------------
 
 
 @pytest.mark.parametrize("mode,want", [("exact", 0), ("float", 2), ("both", 2)])
 def test_eval_over_the_float_ceiling(mode, want):
-    code, out = main_in_process("eval", "-n", "1", "-a", "7", "-b", str(_FLOAT_MAX_B + 1), "--mode", mode)
+    code, out, _ = run_cli("eval", "-n", "1", "-a", "7", "-b", str(_FLOAT_MAX_B + 1), "--mode", mode)
     assert code == want
     if want == 0:
         assert json.loads(out)["outputs"] == {"exact": "10000001/2"}  # +b/2: 7 <= (b-1)/3
@@ -266,7 +272,7 @@ def test_eval_over_the_float_ceiling(mode, want):
 
 @pytest.mark.parametrize("method,want", [("direct", 2), ("all", 2), ("mobius", 0), ("approx", 0)])
 def test_totient_over_the_scan_ceiling(method, want):
-    code, out = main_in_process("totient", "6", "1", str(_SCAN_MAX + 1), "--method", method)
+    code, out, _ = run_cli("totient", "6", "1", str(_SCAN_MAX + 1), "--method", method)
     assert code == want
     assert (out == "") == (want == 2)
 
@@ -274,7 +280,7 @@ def test_totient_over_the_scan_ceiling(method, want):
 @pytest.mark.parametrize("method,want", [("direct", 0), ("mobius", 2), ("approx", 2), ("all", 2)])
 def test_totient_over_the_factorization_ceiling(method, want):
     # the gcd scan never factorizes n, so only it answers
-    code, out = main_in_process("totient", str(_FACTOR_MAX + 1), "1", "10", "--method", method)
+    code, out, _ = run_cli("totient", str(_FACTOR_MAX + 1), "1", "10", "--method", method)
     assert code == want
     if want == 0:
         assert json.loads(out)["outputs"] == {"direct": 10}
@@ -287,23 +293,33 @@ def test_totient_all_refuses_an_unfactorizable_n_before_the_gcd_scan(monkeypatch
         raise AssertionError("the gcd scan ran for an n the Mobius count refuses")
 
     monkeypatch.setattr(totient, "phi_range_direct", scan)
-    assert main_in_process("totient", str(_FACTOR_MAX + 1), "1", "9000000", "--method", "all") == (2, "")
+    assert run_cli("totient", str(_FACTOR_MAX + 1), "1", "9000000", "--method", "all")[:2] == (2, "")
 
 
 def test_totient_all_record_bytes():
     # the Mobius count runs first; the record still lists direct before mobius
-    code, out = main_in_process("totient", "12", "5", "17", "--method", "all")
+    code, out, _ = run_cli("totient", "12", "5", "17", "--method", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "8b16dc759342faa2f4f8e76b057bd8b87930cd8eda3da55d6ae73bcf007e933d"
     assert list(json.loads(out)["outputs"])[:2] == ["direct", "mobius"]
 
 
 @pytest.mark.parametrize("endpoint", ["1/0", "x"])
-def test_malformed_endpoint_exits_2_naming_the_range_bound_rule(endpoint, capsys):
-    assert cli.main(["totient", "6", endpoint, "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be a rational number" in captured.err
+def test_malformed_endpoint_exits_2_naming_the_range_bound_rule(endpoint):
+    code, out, err = run_cli("totient", "6", endpoint, "5")
+    assert code == 2
+    assert out == ""
+    assert "must be a rational number" in err
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [("1", f"1e{_EXPONENT_MAX + 1}"), (f"1e-{_EXPONENT_MAX + 1}", "5")], ids=["hi", "lo"]
+)
+def test_endpoint_exponent_over_the_ceiling_exits_2_naming_the_limit(lo, hi):
+    # refused before Fraction builds 10**|N|, about 10 s already for 1e10000000
+    code, out, err = run_cli("totient", "6", lo, hi)
+    assert (code, out) == (2, "")
+    assert f"exponent must be at most {_EXPONENT_MAX} in magnitude" in err
 
 
 def test_classify_predicate_names_the_public_predicate_that_holds():
@@ -341,7 +357,7 @@ def _never(*args, **kwargs):
 )
 def test_unwritable_output_exits_4_before_the_work(argv, module, name, monkeypatch):
     monkeypatch.setattr(module, name, _never)
-    assert main_in_process(*argv) == (4, "")
+    assert run_cli(*argv)[:2] == (4, "")
 
 
 @pytest.mark.parametrize(
@@ -355,7 +371,7 @@ def test_unwritable_output_exits_4_before_the_work(argv, module, name, monkeypat
     ],
 )
 def test_bad_arguments_and_a_bad_path_exit_2(argv):
-    assert main_in_process(*argv) == (2, "")
+    assert run_cli(*argv)[:2] == (2, "")
 
 
 def test_a_run_stopped_after_the_open_leaves_an_empty_file(tmp_path, monkeypatch):
@@ -365,13 +381,13 @@ def test_a_run_stopped_after_the_open_leaves_an_empty_file(tmp_path, monkeypatch
     monkeypatch.setattr(verify, "run_checks", stop)
     path = tmp_path / "r.json"
     path.write_text("an older report")
-    assert main_in_process("verify", "--report", str(path)) == (2, "")
+    assert run_cli("verify", "--report", str(path))[:2] == (2, "")
     assert path.read_text() == ""
 
 
 def test_sweep_over_the_residue_ceiling():
     # the range is refused before any modulus is listed or classified
-    assert main_in_process("sweep", "2", "10000000000") == (2, "")
+    assert run_cli("sweep", "2", "10000000000")[:2] == (2, "")
 
 
 # operands: small valid ints, the values just over the ceilings, and, for
@@ -418,7 +434,7 @@ def argvs(draw):
 @settings(max_examples=250, deadline=None)
 @given(argvs())
 def test_main_exits_0_to_4_with_one_json_document_or_none(argv):
-    code, out = main_in_process(*argv)
+    code, out, _ = run_cli(*argv)
     assert code in range(5)
     if code == 2:
         assert out == ""  # refused before anything was written

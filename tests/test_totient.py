@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cotsum.errors import PreconditionError
 from cotsum.totient import (
+    _EXPONENT_MAX,
     _FACTOR_MAX,
     _SCAN_MAX,
     ArithmeticProfile,
@@ -469,6 +470,32 @@ def test_factorization_refuses_n_over_the_ceiling():
 def test_malformed_endpoint_text_raises_value_error(call):
     with pytest.raises(ValueError, match="must be a rational number"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,got",
+    [
+        (lambda: RangeBound(1, f"1e{_EXPONENT_MAX + 1}"), _EXPONENT_MAX + 1),
+        (lambda: RangeBound(1, f"2.5E+{_EXPONENT_MAX + 1}"), _EXPONENT_MAX + 1),
+        (lambda: RangeBound(f"1e-{_EXPONENT_MAX + 1}", 1), -_EXPONENT_MAX - 1),
+        (lambda: legendre_phi(6, f"1e{_EXPONENT_MAX + 1}"), _EXPONENT_MAX + 1),
+    ],
+    ids=["hi", "hi-decimal", "lo-negative", "prefix"],
+)
+def test_endpoint_text_refuses_an_exponent_over_the_ceiling(call, got):
+    # only just over the limit, so a missing check fails here in milliseconds
+    # instead of building 10**|N| for minutes
+    with pytest.raises(ValueError, match=rf"exponent must be at most {_EXPONENT_MAX} in magnitude, got {got}$"):
+        call()
+
+
+def test_endpoint_text_at_the_exponent_ceiling_parses():
+    top = 10**_EXPONENT_MAX
+    assert RangeBound(f"1e-{_EXPONENT_MAX}", f"1e{_EXPONENT_MAX}") == RangeBound(Fraction(1, top), top)
+    assert RangeBound(1, f"1e{'0' * 20}5").hi == 10**5  # the value counts, not the digits
+    assert legendre_phi(6, f"1e{_EXPONENT_MAX}") == legendre_phi(6, top)
+    # ints and Fractions never pass through the text check
+    assert RangeBound(Fraction(1, 10 * top), 10 * top).hi == 10 * top
 
 
 def test_profile_cache_answers_only_for_ints():
