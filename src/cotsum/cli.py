@@ -23,32 +23,20 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from math import gcd
 from typing import TextIO
 
 from .errors import PreconditionError
 
-__all__ = ["OutputRecord", "build_parser", "main"]
-
-
-@dataclass
-class OutputRecord:
-    command: str
-    inputs: dict
-    outputs: dict
-    status: str  # "ok" | "inconsistent" | "precondition_violation"
-
-    def render(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
+__all__ = ["build_parser", "main"]
 
 _EXIT_CODES = {"ok": 0, "inconsistent": 1, "precondition_violation": 3}
 
 
 def _emit(command: str, inputs: dict, outputs: dict, status: str = "ok") -> int:
     """Print the record and return its exit code."""
-    print(OutputRecord(command, inputs, outputs, status).render())
+    print(json.dumps({"command": command, "inputs": inputs, "outputs": outputs, "status": status}, indent=2))
     return _EXIT_CODES[status]
 
 

@@ -16,7 +16,7 @@ is returned. phi_range_direct and legendre_phi stay off that kernel: they are
 the independent routes the others are checked against. The two gcd scans,
 phi_range_direct and coprime_sum, refuse a range of more than _SCAN_MAX
 (10^7) integers with a ValueError naming the limit, and an endpoint given as
-text refuses a decimal exponent over _EXPONENT_MAX (10^5) in magnitude.
+text refuses to stand for more than _ENDPOINT_DIGITS_MAX (4000) digits.
 
 Every other count starts from n's factorization, `arithmetic_profile(n)`,
 which refuses n above _FACTOR_MAX (10^14) and is memoized for the last 256
@@ -221,21 +221,30 @@ def spf_sieve(limit: int) -> list[int]:
     return spf
 
 
-# A str endpoint's decimal exponent N makes Fraction build 10**|N| before
-# anything can refuse the result: 1e100000 parsed in 5-8 ms, 1e1000000 in
-# 0.2-0.3 s and 1e10000000 in 9-10 s (shared 2-vCPU x86-64 host, Python 3.11),
-# so `cotsum totient 6 1 1e100000000` would have run for minutes.
-_EXPONENT_MAX = 10**5
+# A str endpoint may stand for at most _ENDPOINT_DIGITS_MAX digits: the digits
+# it is written with, plus the magnitude N of a decimal exponent, for which
+# Fraction builds 10**N (1e1000000 parsed in 0.2-0.3 s and 1e10000000 in
+# 9-10 s on a shared 2-vCPU x86-64 host, Python 3.11). The cap also keeps
+# every number a CLI record prints under CPython's 4,300-digit limit on int
+# to str: the endpoints themselves, and phi_approx's estimate and error,
+# whose parts gain at most 15 digits from an n <= _FACTOR_MAX. It is checked
+# before Fraction parses the text, so 1e100000000 is refused at once.
+_ENDPOINT_DIGITS_MAX = 4000
 
 
-def _check_exponent(text: str, what: str) -> None:
-    _, e, exp = text.rstrip().lower().rpartition("e")
-    try:
-        exp_value = int(exp) if e else 0
-    except ValueError:  # not an exponent, or over int's digit limit: Fraction refuses it too
-        return
-    if abs(exp_value) > _EXPONENT_MAX:
-        raise ValueError(f"{what} exponent must be at most {_EXPONENT_MAX} in magnitude, got {exp_value}")
+def _check_digits(text: str, what: str) -> None:
+    digits = sum(map(str.isdigit, text))
+    _, e, exp = text.lower().rpartition("e")
+    if e and digits <= _ENDPOINT_DIGITS_MAX:  # so int() reads at most that many digits
+        try:
+            digits += abs(int(exp))
+        except ValueError:  # not an exponent: Fraction refuses the text
+            pass
+    if digits > _ENDPOINT_DIGITS_MAX:
+        raise ValueError(
+            f"{what} must stand for at most {_ENDPOINT_DIGITS_MAX} digits, "
+            f"its digits plus its decimal exponent, got {digits}"
+        )
 
 
 def _endpoint(value: RationalLike, what: str = "range endpoint") -> Fraction:
@@ -246,7 +255,7 @@ def _endpoint(value: RationalLike, what: str = "range endpoint") -> Fraction:
             f"{what} must be an int, str or Fraction, got {type(value).__name__} {value!r}"
         )
     if isinstance(value, str):
-        _check_exponent(value, what)
+        _check_digits(value, what)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -258,7 +267,7 @@ class RangeBound:
     """Closed rational interval [lo, hi], lo <= hi.
 
     Endpoints may be given as int, str or Fraction (float and bool are
-    refused; text with a decimal exponent over _EXPONENT_MAX too) and are
+    refused; text standing for over _ENDPOINT_DIGITS_MAX digits too) and are
     stored as Fraction.
     """
 

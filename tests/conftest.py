@@ -1,14 +1,14 @@
 """Shared test helpers: `run_cli`, the one way a test drives the CLI in this
 process; `run_python` and `run_cotsum` for tests of a fresh interpreter; and
-the acceptance tests' `cotsum verify` runs, started at collection as children
-that work beside the rest of the suite."""
+the acceptance battery, one `cotsum verify` child started at collection that
+works beside the rest of the suite and that the acceptance gate and the CLI
+contract both read."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -20,12 +20,10 @@ from cotsum import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# fixture name: the `python -m cotsum` argv of the child it waits for, {tmp}
-# a directory of the run's own. The acceptance tests that read them run last.
+# fixture name: the `python -m cotsum` argv of the child it waits for. The
+# acceptance tests that read them run last.
 CHILDREN = {
-    "battery_stdout": ("verify", "--max-b", "500", "--max-n", "2000", "--seed", "42", "--report", "-"),
-    "contract_verify": ("verify", "--max-b", "100", "--max-n", "500", "--seed", "42",
-                        "--report", "{tmp}/report.json"),
+    "battery_child": ("verify", "--max-b", "500", "--max-n", "2000", "--seed", "42", "--report", "-"),
 }
 
 
@@ -70,19 +68,13 @@ class ChildRuns:
 
     def __init__(self) -> None:
         self.started: dict[str, tuple[subprocess.Popen, IO[bytes]]] = {}
-        self.tmp: str | None = None
-
-    def argv(self, name: str) -> list[str]:
-        if self.tmp is None:
-            self.tmp = tempfile.mkdtemp(prefix="cotsum-tests-")
-        return [arg.format(tmp=self.tmp) for arg in CHILDREN[name]]
 
     def start(self, name: str) -> subprocess.Popen:
         if name not in self.started:
             # progress lines go to a file, read only if the child fails
             stderr = tempfile.TemporaryFile()
             proc = subprocess.Popen(
-                [sys.executable, "-m", "cotsum", *self.argv(name)],
+                [sys.executable, "-m", "cotsum", *CHILDREN[name]],
                 stdout=subprocess.PIPE, stderr=stderr, env=child_env(),
             )
             self.started[name] = (proc, stderr)
@@ -96,7 +88,7 @@ class ChildRuns:
             stderr = self.started[name][1]
             stderr.seek(0)
             tail = stderr.read().decode(errors="replace")[-2000:]
-            pytest.fail(f"cotsum {' '.join(self.argv(name))} exited {proc.returncode}:\n{tail}")
+            pytest.fail(f"cotsum {' '.join(CHILDREN[name])} exited {proc.returncode}:\n{tail}")
         return proc.returncode, out
 
     def close(self) -> None:
@@ -106,8 +98,6 @@ class ChildRuns:
                 proc.wait()
             proc.stdout.close()
             stderr.close()
-        if self.tmp is not None:
-            shutil.rmtree(self.tmp, ignore_errors=True)
 
 
 _CHILD_RUNS = pytest.StashKey[ChildRuns]()
@@ -134,13 +124,6 @@ def pytest_sessionfinish(session: pytest.Session) -> None:
 
 
 @pytest.fixture(scope="session")
-def battery_stdout(pytestconfig: pytest.Config) -> bytes:
-    """The bytes `cotsum verify --max-b 500 --max-n 2000 --seed 42 --report -` writes."""
-    return pytestconfig.stash[_CHILD_RUNS].wait("battery_stdout")[1]
-
-
-@pytest.fixture(scope="session")
-def contract_verify(pytestconfig: pytest.Config) -> tuple[int, str]:
-    """(exit code, report path) of `cotsum verify --max-b 100 --max-n 500 --seed 42 --report PATH`."""
-    children = pytestconfig.stash[_CHILD_RUNS]
-    return children.wait("contract_verify")[0], children.argv("contract_verify")[-1]
+def battery_child(pytestconfig: pytest.Config) -> tuple[int, bytes]:
+    """(exit code, stdout) of `cotsum verify --max-b 500 --max-n 2000 --seed 42 --report -`."""
+    return pytestconfig.stash[_CHILD_RUNS].wait("battery_child")

@@ -1,8 +1,9 @@
 """The CLI argv corpus and the script that regenerates its pins.
 
-`CORPUS` lists (argv, mutant) pairs for the five commands. `run` applies one
-of the golden net's mutants from tests/test_verify.py when `mutant` names
-one, runs the argv through the tests' one CLI runner, `conftest.run_cli`
+`CORPUS` lists (argv, mutant) pairs for the five commands. `run` applies the
+golden net's mutant that `mutant` names, by its id in tests/test_verify.py's
+`MUTANTS` (this file keeps no mutant table of its own), runs the argv through
+the tests' one CLI runner, `conftest.run_cli`
 (`cli.main` in this process), and returns its exit code and the sha256 of
 what it wrote to stdout. tests/cli_pins.json holds those pairs for every
 entry, and tests/test_cli_pins.py replays them.
@@ -23,28 +24,19 @@ import pathlib
 from unittest import mock
 
 from conftest import run_cli
-from test_verify import _kernel_plus_b_above_10, _mobius_plus_1_where_7_divides_n, _tolerance_below_0
+from test_verify import MUTANTS
 
-from cotsum import distribution, numeric, totient
 from cotsum.numeric import _FLOAT_MAX_B, _TABLE_MAX_B
 from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
 PINS_PATH = pathlib.Path(__file__).with_name("cli_pins.json")
-
-# id: (module, attribute, mutant of the original); each makes one command
-# exit 1. The sweep reads core._kernel through its own binding.
-MUTANTS = {
-    "tolerance-below-0": (numeric, "tol", _tolerance_below_0),
-    "sweep-kernel-plus-b-above-10": (distribution, "_kernel", _kernel_plus_b_above_10),
-    "mobius-plus-1-where-7-divides-n": (totient, "_mobius_count", _mobius_plus_1_where_7_divides_n),
-}
 
 
 def run(argv: list[str], mutant: str | None = None) -> tuple[int, str]:
     """(exit code, stdout sha256) of run_cli(*argv), under `mutant` if it names one."""
     patch = contextlib.nullcontext()
     if mutant is not None:
-        module, attr, make = MUTANTS[mutant]
+        module, attr, make = MUTANTS[mutant][:3]
         patch = mock.patch.object(module, attr, make(getattr(module, attr)))
     with patch:
         code, out, _ = run_cli(*argv)

@@ -5,9 +5,10 @@ live, outside pytest's capture) so a log scan gives the verdict at a glance.
 Criteria the battery covers read one full battery run shared across tests,
 with the bounds pinned to (max_b=500, max_n=2000, seed=42); each asserts its
 check passed over a domain no smaller than the one its label states. That run
-is a `cotsum verify` child, started at collection (tests/conftest.py) like
-the CLI contract's verify run, and these tests run last, so the rest of the
-suite overlaps both. Only the spot values run in this process.
+is a `cotsum verify` child, started at collection (tests/conftest.py), whose
+exit code and stdout the CLI contract reads as well; these tests run last, so
+the rest of the suite overlaps it. Only the spot values and the contract's
+`sweep` run outside it.
 """
 
 import hashlib
@@ -28,8 +29,8 @@ def announce(capsys, label: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="session")
-def full_report(battery_stdout):
-    return json.loads(battery_stdout)
+def full_report(battery_child):
+    return json.loads(battery_child[1])
 
 
 def report_check(report, module, name):
@@ -124,8 +125,8 @@ def test_symmetric_coprime_sum(capsys, full_report):
 REPORT_SHA256_SEED_42 = "8b3727984337b19fd0a01c18fb0b70a9bcf75ffd00722484797d2d5fc0ebb562"
 
 
-def test_report_bytes_pinned(capsys, battery_stdout):
-    digest = hashlib.sha256(battery_stdout).hexdigest()
+def test_report_bytes_pinned(capsys, battery_child):
+    digest = hashlib.sha256(battery_child[1]).hexdigest()
     announce(capsys, "report bytes for max_b=500, max_n=2000, seed=42 match the pinned sha256",
              digest == REPORT_SHA256_SEED_42, f"sha256 {digest[:12]}...")
 
@@ -157,18 +158,13 @@ def test_spot_values_both_paths(capsys):
              ok, "exact and float paths")
 
 
-def test_cli_contract(capsys, contract_verify):
-    verify_rc, report_path = contract_verify
-    ok = verify_rc == 0
-    reparsed = {}
-    if ok:
-        with open(report_path, encoding="utf-8") as f:
-            reparsed = json.load(f)
-        ok = reparsed["summary"]["ok"] is True
+def test_cli_contract(capsys, battery_child, full_report):
+    verify_rc = battery_child[0]
+    ok = verify_rc == 0 and full_report["summary"]["ok"] is True
 
     sweep_proc = run_cotsum("sweep", "2", "50", timeout=600)
     ok = ok and sweep_proc.returncode == 0
     rows = [ln for ln in sweep_proc.stdout.strip().split("\n")[1:] if not ln.startswith("3,")]
     ok = ok and len(rows) == 48 and all(ln.endswith(",true") for ln in rows)
-    announce(capsys, "cli: verify --max-b 100 --max-n 500 --seed 42 exits 0, report re-parses; sweep 2 50 emits 48 consistent rows",
+    announce(capsys, "cli: verify --max-b 500 --max-n 2000 --seed 42 exits 0, report parses with summary.ok; sweep 2 50 emits 48 consistent rows",
              ok, f"verify rc={verify_rc}, {len(rows)} sweep rows")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from cotsum import cli, core, distribution, totient, verify
 from cotsum.numeric import _FLOAT_MAX_B
-from cotsum.totient import _EXPONENT_MAX, _FACTOR_MAX, _SCAN_MAX
+from cotsum.totient import _ENDPOINT_DIGITS_MAX, _FACTOR_MAX, _SCAN_MAX
 
 
 # --- eval --------------------------------------------------------------------
@@ -312,14 +312,38 @@ def test_malformed_endpoint_exits_2_naming_the_range_bound_rule(endpoint):
     assert "must be a rational number" in err
 
 
+# "1e" with a 4-digit exponent E stands for 1 + 4 + E digits
+_E_AT = _ENDPOINT_DIGITS_MAX - 5
+
+
 @pytest.mark.parametrize(
-    "lo,hi", [("1", f"1e{_EXPONENT_MAX + 1}"), (f"1e-{_EXPONENT_MAX + 1}", "5")], ids=["hi", "lo"]
+    "argv",
+    [
+        ("6", "1", f"1e{_E_AT + 1}"),
+        ("6", f"1e-{_E_AT + 1}", "5"),
+        # each of these would print or parse more than CPython's 4,300 digits
+        ("6", "1", "1e4300", "--method", "mobius"),  # the record's hi
+        ("999999999989", "1", "1e4299", "--method", "approx"),  # the estimate
+        ("6", "1", "1" * 4400),  # Fraction's own parse, which echoed every digit
+    ],
+    ids=["hi", "lo", "mobius-hi", "approx-estimate", "literal"],
 )
-def test_endpoint_exponent_over_the_ceiling_exits_2_naming_the_limit(lo, hi):
+def test_endpoint_exponent_over_the_ceiling_exits_2_naming_the_limit(argv):
     # refused before Fraction builds 10**|N|, about 10 s already for 1e10000000
-    code, out, err = run_cli("totient", "6", lo, hi)
+    code, out, err = run_cli("totient", *argv)
     assert (code, out) == (2, "")
-    assert f"exponent must be at most {_EXPONENT_MAX} in magnitude" in err
+    assert f"at most {_ENDPOINT_DIGITS_MAX} digits" in err
+    assert "4300" not in err and len(err) < 200
+
+
+@pytest.mark.parametrize("n,method", [("6", "mobius"), ("999999999989", "approx")])
+def test_endpoint_text_at_the_digit_budget_prints_its_record(n, method):
+    code, out, _ = run_cli("totient", n, "1", f"1e{_E_AT}", "--method", method)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["inputs"]["hi"] == str(10**_E_AT)
+    if method == "approx":
+        assert len(rec["outputs"]["approx_estimate"]) > _ENDPOINT_DIGITS_MAX
 
 
 def test_classify_predicate_names_the_public_predicate_that_holds():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cotsum.errors import PreconditionError
 from cotsum.totient import (
-    _EXPONENT_MAX,
+    _ENDPOINT_DIGITS_MAX,
     _FACTOR_MAX,
     _SCAN_MAX,
     ArithmeticProfile,
@@ -472,30 +472,38 @@ def test_malformed_endpoint_text_raises_value_error(call):
         call()
 
 
+# "1e" with a 4-digit exponent E stands for 1 + 4 + E digits
+_E_AT = _ENDPOINT_DIGITS_MAX - 5
+
+
 @pytest.mark.parametrize(
     "call,got",
     [
-        (lambda: RangeBound(1, f"1e{_EXPONENT_MAX + 1}"), _EXPONENT_MAX + 1),
-        (lambda: RangeBound(1, f"2.5E+{_EXPONENT_MAX + 1}"), _EXPONENT_MAX + 1),
-        (lambda: RangeBound(f"1e-{_EXPONENT_MAX + 1}", 1), -_EXPONENT_MAX - 1),
-        (lambda: legendre_phi(6, f"1e{_EXPONENT_MAX + 1}"), _EXPONENT_MAX + 1),
+        (lambda: RangeBound(1, f"1e{_E_AT + 1}"), _ENDPOINT_DIGITS_MAX + 1),
+        (lambda: RangeBound(1, f"2.5E+{_E_AT}"), _ENDPOINT_DIGITS_MAX + 1),
+        (lambda: RangeBound(f"1e-{_E_AT + 1}", 1), _ENDPOINT_DIGITS_MAX + 1),
+        (lambda: legendre_phi(6, f"1e{_E_AT + 1}"), _ENDPOINT_DIGITS_MAX + 1),
+        (lambda: RangeBound(1, "1" * (_ENDPOINT_DIGITS_MAX + 1)), _ENDPOINT_DIGITS_MAX + 1),
+        (lambda: RangeBound(f"1/{'3' * _ENDPOINT_DIGITS_MAX}", 1), _ENDPOINT_DIGITS_MAX + 1),
     ],
-    ids=["hi", "hi-decimal", "lo-negative", "prefix"],
+    ids=["hi", "hi-decimal", "lo-negative", "prefix", "hi-literal", "lo-denominator"],
 )
 def test_endpoint_text_refuses_an_exponent_over_the_ceiling(call, got):
-    # only just over the limit, so a missing check fails here in milliseconds
-    # instead of building 10**|N| for minutes
-    with pytest.raises(ValueError, match=rf"exponent must be at most {_EXPONENT_MAX} in magnitude, got {got}$"):
+    # only just over the budget, so a missing check fails here in
+    # milliseconds; the message counts the digits instead of echoing them
+    with pytest.raises(ValueError, match=rf"at most {_ENDPOINT_DIGITS_MAX} digits, .*, got {got}$"):
         call()
 
 
 def test_endpoint_text_at_the_exponent_ceiling_parses():
-    top = 10**_EXPONENT_MAX
-    assert RangeBound(f"1e-{_EXPONENT_MAX}", f"1e{_EXPONENT_MAX}") == RangeBound(Fraction(1, top), top)
-    assert RangeBound(1, f"1e{'0' * 20}5").hi == 10**5  # the value counts, not the digits
-    assert legendre_phi(6, f"1e{_EXPONENT_MAX}") == legendre_phi(6, top)
+    top = 10**_E_AT
+    assert RangeBound(f"1e-{_E_AT}", f"1e{_E_AT}") == RangeBound(Fraction(1, top), top)
+    assert RangeBound(1, "9" * _ENDPOINT_DIGITS_MAX).hi == 10**_ENDPOINT_DIGITS_MAX - 1
+    assert RangeBound(1, f"1e{'0' * 20}5").hi == 10**5  # the exponent counts by its value
+    assert legendre_phi(6, f"1e{_E_AT}") == legendre_phi(6, top)
     # ints and Fractions never pass through the text check
-    assert RangeBound(Fraction(1, 10 * top), 10 * top).hi == 10 * top
+    big = 10 ** (2 * _ENDPOINT_DIGITS_MAX)
+    assert RangeBound(Fraction(1, big), big).hi == big
 
 
 def test_profile_cache_answers_only_for_ints():

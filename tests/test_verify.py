@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from cotsum import core, exact, numeric, totient, verify
+from cotsum import core, distribution, exact, numeric, totient, verify
 from cotsum.verify import _randint, report_text, run_checks
 
 
@@ -245,11 +245,17 @@ def _coprime_sum_drops_lo(coprime_sum):
 
 
 # id: (module, attribute, mutant of the original, report sha256 at (12, 30, 0),
-# the failing checks with their case counts at the first failure)
+# the failing checks with their case counts at the first failure).
+# tests/regen_cli_pins.py applies these same mutants by id.
 MUTANTS = {
     "kernel-plus-b-above-10": (
         core, "_kernel", _kernel_plus_b_above_10, "76d1b9f47b8525609e608c225c19cd6704b19e9bdbc71114636014f3c89d6e59",
         [("trichotomy-and-predicates", 30), ("magnitude-bound", 143), ("master-congruence-witness", 88), ("float-oracle-agreement", 487)],
+    ),
+    # the sweep reads core._kernel through its own binding
+    "sweep-kernel-plus-b-above-10": (
+        distribution, "_kernel", _kernel_plus_b_above_10, "3c331b2037e5f367fbb2305023f4611cc5abe304ee103e719d67c930ef59a063",
+        [("sweep-closed-forms", 9)],
     ),
     "boundary-plus-b-at-k-b-plus-1": (
         exact, "_boundary_value", _boundary_plus_b_at_k_b_plus_1, "05d95ef19383fa47d554c6e962a2fc98c4c08f76efdf97404bc984300d711571",
@@ -302,6 +308,14 @@ def test_failing_report_bytes_pinned_under_mutant(mutant, monkeypatch):
     assert [(c["name"], c["cases"]) for c in report["checks"] if not c["passed"]] == failing
     assert report["summary"]["ok"] is False
     assert report_sha256(report) == sha256
+
+
+def test_every_check_has_a_failing_golden_pin(small_report):
+    # so a new check cannot land without a mutant that it catches
+    caught = {name for *_, failing in MUTANTS.values() for name, _ in failing}
+    checks = {c["name"] for c in small_report["checks"]}
+    assert len(checks) == 21
+    assert caught == checks
 
 
 def test_checks_are_rebindable_result_callables_in_report_order(timed_12_30):
