@@ -32,6 +32,7 @@ _EXPORTS = {
     "CheckResult": "verify",
     "CotSumValue": "core",
     "CotTag": "core",
+    "InvariantError": "errors",
     "MasterWitness": "core",
     "NumericResult": "numeric",
     "PhiApproximation": "totient",

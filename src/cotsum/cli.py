@@ -1,6 +1,6 @@
 """Command line front end.
 
-Every command prints one JSON record of the shape
+A command that runs to the end prints one JSON record of the shape
 {"command", "inputs", "outputs", "status"} (sweep instead emits its table in
 csv or json form). Exit codes:
 
@@ -11,7 +11,8 @@ csv or json form). Exit codes:
     4  an output path could not be written
 
 A record's status picks its exit code in one table, `_EXIT_CODES`, which
-`_emit` reads; `main` maps the exceptions that end a command to 2, 3 and 4.
+`_emit` reads; an exception that ends a command prints no record, and `main`
+maps InvariantError to 1, ValueError to 2, PreconditionError to 3 and OSError to 4.
 
 Each command imports the layers it runs inside its own function, so a cold
 `eval`, `classify` or `totient` call never loads `verify` or `distribution`.
@@ -27,7 +28,7 @@ from dataclasses import asdict, fields
 from math import gcd
 from typing import TextIO
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 __all__ = ["build_parser", "main"]
 
@@ -231,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"inconsistent: {exc}", file=sys.stderr)
+        return 1
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, check_int
 from .exact import _boundary_value
 
 __all__ = [
@@ -87,7 +87,7 @@ class CotSumValue:
             or (tag is CotTag.PLUS_HALF_B and num <= 0)
             or (tag is CotTag.MINUS_HALF_B and num >= 0)
         ):
-            raise ValueError(f"tag {tag.value} inconsistent with value {self.exact}")
+            raise InvariantError(f"tag {tag.value} inconsistent with value {self.exact}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ class MasterWitness:
 
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.b - 2:
-            raise ValueError(f"witness k={self.k} outside [0, {self.b - 2}]")
+            raise InvariantError(f"witness k={self.k} outside [0, {self.b - 2}]")
         # 2*s must equal the integer rest; cross-multiplied, so no Fraction
         rest = (3 * self.nu + 2) * self.b - (3 * self.a + self.k + 1) - 3 * self.e1k
         if rest * self.s.denominator != 2 * self.s.numerator:
-            raise ValueError(f"witness books do not balance: 2*s = {2 * self.s}, the rest is {rest}")
+            raise InvariantError(f"witness books do not balance: 2*s = {2 * self.s}, the rest is {rest}")
 
 
 # classify's tags in the order of the tag rule's indices

@@ -35,7 +35,7 @@ from itertools import compress
 
 from . import totient
 from .core import _kernel, _tag
-from .errors import PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, check_int
 
 __all__ = ["SweepReport", "closed_form_counts", "sweep", "sweep_range"]
 
@@ -59,7 +59,7 @@ class SweepReport:
             and self.count_minus == self.closed_minus
         )
         if self.consistent != matches:
-            raise ValueError(f"consistent flag wrong for b={self.b}")
+            raise InvariantError(f"consistent flag wrong for b={self.b}")
 
 
 # A sweep sieves every residue a in [1, b-1] of each modulus and classifies

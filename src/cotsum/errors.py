@@ -1,13 +1,18 @@
-"""Shared exception types and the one integer-argument rule."""
+"""The three failure kinds and the one integer-argument rule.
+
+Each kind has its own type, none a subclass of another, so no handler of one
+can swallow another: a malformed argument raises ValueError (CLI exit 2), one
+outside a formula's hypothesis PreconditionError (exit 3), and a result that
+breaks a proven identity InvariantError (exit 1).
+"""
 
 
 class PreconditionError(Exception):
-    """A documented mathematical hypothesis was violated.
+    """A documented mathematical hypothesis was violated: the formula does not apply here."""
 
-    Distinct from ValueError so callers (and the CLI, which maps this to
-    exit code 3) can tell "the formula does not apply here" apart from
-    "the argument is malformed".
-    """
+
+class InvariantError(Exception):
+    """A result failed the self-check of a proven identity: a bug, not a bad argument."""
 
 
 def check_int(what: str, value: object, least: int | None = None) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import check_int
+from .errors import InvariantError, check_int
 
 __all__ = [
     "BoundaryCount",
@@ -48,12 +48,12 @@ class BoundaryCount:
     def __post_init__(self) -> None:
         # value is b times a count, so it is a non-negative multiple of b
         if self.value < 0 or self.value % self.b != 0:
-            raise ValueError(f"boundary count {self.value} is not a non-negative multiple of {self.b}")
+            raise InvariantError(f"boundary count {self.value} is not a non-negative multiple of {self.b}")
         if self.k == 0 and self.value != 0:
-            raise ValueError("empty window must have count 0")
+            raise InvariantError("empty window must have count 0")
         # a window shorter than b holds at most one multiple of b
         if self.k <= self.b - 1 and self.value not in (0, self.b):
-            raise ValueError(f"window of length {self.k} < b cannot hold count {self.value // self.b}")
+            raise InvariantError(f"window of length {self.k} < b cannot hold count {self.value // self.b}")
 
     @property
     def multiples(self) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, check_int
 
 __all__ = [
     "NumericResult",
@@ -60,11 +60,11 @@ class NumericResult:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
-            raise ValueError(f"non-finite sum {self.value!r}")
+            raise InvariantError(f"non-finite sum {self.value!r}")
         if self.term_count < 1:
-            raise ValueError(f"term_count must be >= 1, got {self.term_count}")
+            raise InvariantError(f"term_count must be >= 1, got {self.term_count}")
         if self.abs_bound < 0.0:
-            raise ValueError(f"abs_bound must be >= 0, got {self.abs_bound}")
+            raise InvariantError(f"abs_bound must be >= 0, got {self.abs_bound}")
 
 
 def tol(b: int) -> float:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .errors import PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, check_int
 
 __all__ = [
     "ArithmeticProfile",
@@ -132,18 +132,18 @@ class ArithmeticProfile:
             prod *= p**e
             phi -= phi // p
         if prod != self.n:
-            raise ValueError(f"prime powers reconstruct {prod}, not {self.n}")
+            raise InvariantError(f"prime powers reconstruct {prod}, not {self.n}")
         if phi != self.euler_phi:
-            raise ValueError(f"euler_phi {self.euler_phi} disagrees with the product formula {phi}")
+            raise InvariantError(f"euler_phi {self.euler_phi} disagrees with the product formula {phi}")
         if self.omega != len(self.prime_powers):
-            raise ValueError("omega disagrees with the factor list")
+            raise InvariantError("omega disagrees with the factor list")
         squarefree = all(e == 1 for _, e in self.prime_powers)
         if self.mobius != ((-1) ** self.omega if squarefree else 0):
-            raise ValueError("mobius value inconsistent with factorization")
+            raise InvariantError("mobius value inconsistent with factorization")
         if len(self.squarefree_divisors) != 2**self.omega:
-            raise ValueError("squarefree divisor count must be 2^omega")
+            raise InvariantError("squarefree divisor count must be 2^omega")
         if sum(mu for _, mu in self.squarefree_divisors) != (1 if self.n == 1 else 0):
-            raise ValueError("mu does not sum to the n=1 indicator over divisors")
+            raise InvariantError("mu does not sum to the n=1 indicator over divisors")
 
 
 # Sized to the reuse its callers show: each asks for one n many times in a
@@ -206,12 +206,23 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+# spf_sieve holds a list of limit + 1 ints, about 38 bytes an index: limit
+# 10^6 took 0.13-0.20 s and raised peak RSS by 38 MB, 3 * 10^6 0.5-0.7 s and
+# 115 MB (shared 2-vCPU x86-64 host, Python 3.11), so 10^9 would ask for
+# about 38 GB. It refuses a limit above _SIEVE_MAX before it allocates; the
+# battery sieves to 10^4.
+_SIEVE_MAX = 10**6
+
+
 def spf_sieve(limit: int) -> list[int]:
     """Smallest prime factor for every index up to limit (0 and 1 map to themselves).
 
     Used by verification code as an independent source of omega/mobius data.
+    limit is at most _SIEVE_MAX (10^6); a larger one raises ValueError.
     """
     check_int("limit", limit, 1)
+    if limit > _SIEVE_MAX:
+        raise ValueError(f"a sieve takes limit <= {_SIEVE_MAX}, got {limit}")
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:  # p prime
@@ -378,7 +389,7 @@ class PhiDecomposition:
 
     def __post_init__(self) -> None:
         if self.endpoint not in (0, 1):
-            raise ValueError(f"endpoint indicator must be 0 or 1, got {self.endpoint}")
+            raise InvariantError(f"endpoint indicator must be 0 or 1, got {self.endpoint}")
 
     @property
     def combined(self) -> int:
@@ -428,9 +439,9 @@ class PhiApproximation:
         est, err = self.estimate, self.error
         exact_minus_est = self.exact * est.denominator - est.numerator  # over est.denominator
         if err.numerator * est.denominator != exact_minus_est * err.denominator:
-            raise ValueError("error field must equal exact - estimate")
+            raise InvariantError("error field must equal exact - estimate")
         if abs(err.numerator) > self.bound * err.denominator:
-            raise ValueError(
+            raise InvariantError(
                 f"error {self.error} exceeds bound {self.bound} for n={self.n}, [{self.lo}, {self.hi}]"
             )
 
@@ -461,7 +472,7 @@ def divisor_partition_identity(n: int, lo: int, hi: int) -> int:
 
     Each integer k in [lo, hi] is counted exactly once, by d = gcd(n, k)
     (k/d is then coprime to n/d). The function recomputes the sum and raises
-    ArithmeticError if it ever fails to telescope, so a plain return value
+    InvariantError if it ever fails to telescope, so a plain return value
     doubles as a verified identity instance.
     """
     check_int("n", n, 1)
@@ -470,7 +481,7 @@ def divisor_partition_identity(n: int, lo: int, hi: int) -> int:
     for d in _divisors(n):
         total += _mobius_count(n // d, lo, d, hi, d, 1)
     if total != hi - lo + 1:
-        raise ArithmeticError(
+        raise InvariantError(
             f"partition of [{lo}, {hi}] by gcd with {n} came to {total}, not {hi - lo + 1}"
         )
     return total
@@ -516,7 +527,7 @@ def coprime_sum(n: int, lo: int, hi: int, strict: bool = True) -> int:
             count += 1
             total += k
     if strict and 2 * total != n * count:
-        raise ArithmeticError(
+        raise InvariantError(
             f"paired sum broke: 2*{total} != {n}*{count} on [{lo}, {hi}]"
         )
     return total

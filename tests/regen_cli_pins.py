@@ -177,6 +177,9 @@ CORPUS += [
     (["totient", "14", "1", "100", "--method", "all"], "mobius-plus-1-where-7-divides-n"),
     (["totient", "14", "1", "100", "--method", "mobius"], "mobius-plus-1-where-7-divides-n"),
     (["totient", "15", "1", "100", "--method", "all"], "mobius-plus-1-where-7-divides-n"),
+    # a library self-check fails: no classify record, but a verify report
+    (["classify", "-a", "4", "-b", "11"], "tag-zero-as-plus-above-10"),
+    (["verify", "--max-b", "12", "--max-n", "30", "--seed", "0"], "tag-zero-as-plus-above-10"),
 ]
 
 

@@ -18,6 +18,7 @@ import pytest
 from conftest import run_cli, run_cotsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_verify import MUTANTS, _unreachable
 
 from cotsum import cli, core, distribution, totient, verify
 from cotsum.numeric import _FLOAT_MAX_B
@@ -234,6 +235,38 @@ def test_verify_stdout_report_parses():
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["failed"] == 0
+
+
+def test_verify_refuses_an_oversized_max_b_before_any_check(monkeypatch):
+    # a check that runs is minutes of work before the sweep check refuses
+    monkeypatch.setattr(verify, "_CHECKS", (_unreachable,))
+    code, out, err = run_cli("verify", "--max-b", "10001", "--max-n", "30")
+    assert (code, out) == (2, "")
+    assert err == "invalid value: a sweep classifies at most 50000000 residues, got 50004998 for b in [2, 10001]\n"
+
+
+# --- a broken invariant ------------------------------------------------------
+
+
+@pytest.fixture
+def tag_zero_as_plus(monkeypatch):
+    module, attr, make = MUTANTS["tag-zero-as-plus-above-10"][:3]
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+
+
+def test_a_broken_invariant_exits_1_with_no_record(tag_zero_as_plus):
+    # like the other exits main maps, it prints one line on stderr and no record
+    assert run_cli("classify", "-a", "4", "-b", "11") == (1, "", "inconsistent: tag PlusHalfB inconsistent with value 0\n")
+    assert run_cli("classify", "-a", "4", "-b", "10")[0] == 0  # the mutant reads only b > 10
+
+
+def test_verify_writes_its_report_when_a_self_check_breaks(tag_zero_as_plus, tmp_path):
+    path = tmp_path / "r.json"
+    code, out, err = run_cli("verify", "--max-b", "12", "--max-n", "30", "--seed", "0", "--report", str(path))
+    assert (code, out) == (1, "")
+    report = json.loads(path.read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["trichotomy-and-predicates"]
+    assert "[FAIL] core/trichotomy-and-predicates (32 cases)" in err
 
 
 # --- the process boundary ----------------------------------------------------

@@ -20,7 +20,7 @@ from cotsum.core import (
     predicate_plus,
     predicate_zero,
 )
-from cotsum.errors import PreconditionError
+from cotsum.errors import InvariantError, PreconditionError
 from cotsum.exact import boundary_count
 
 
@@ -164,12 +164,12 @@ def test_trichotomy_small_exhaustive():
 
 
 def test_cotsumvalue_tag_must_match_value():
-    with pytest.raises(ValueError, match=r"^tag Zero inconsistent with value 1$"):
+    with pytest.raises(InvariantError, match=r"^tag Zero inconsistent with value 1$"):
         CotSumValue(tag=CotTag.ZERO, exact=Fraction(1))
-    with pytest.raises(ValueError, match=r"^tag PlusHalfB inconsistent with value -2$"):
+    with pytest.raises(InvariantError, match=r"^tag PlusHalfB inconsistent with value -2$"):
         CotSumValue(tag=CotTag.PLUS_HALF_B, exact=Fraction(-2))
     for bad in (Fraction(0), Fraction(1, 2)):
-        with pytest.raises(ValueError, match=rf"^tag MinusHalfB inconsistent with value {bad}$"):
+        with pytest.raises(InvariantError, match=rf"^tag MinusHalfB inconsistent with value {bad}$"):
             CotSumValue(tag=CotTag.MINUS_HALF_B, exact=bad)
     # each sign passes under its own tag, and Other takes any value
     CotSumValue(tag=CotTag.ZERO, exact=Fraction(0))
@@ -224,14 +224,14 @@ def test_master_witness_rejects_when_no_k_exists():
 
 
 def test_master_witness_type_validates_equation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         MasterWitness(a=1, b=4, k=0, nu=0, e1k=0, s=Fraction(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         MasterWitness(a=1, b=4, k=5, nu=0, e1k=0, s=Fraction(2))
     # a value off by 1/2 no longer balances, whatever the witness
     for a, b in [(1, 4), (2, 5), (5, 4), (7, 11)]:
         w = master_witness(a, b)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             replace(w, s=w.s + Fraction(1, 2))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from cotsum import core, distribution
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
-from cotsum.errors import PreconditionError
+from cotsum.errors import InvariantError, PreconditionError
 from cotsum.totient import RangeBound, euler_phi, phi_range_direct
 
 
@@ -241,6 +241,6 @@ def test_closed_form_counts_match_gcd_scan():
 
 
 def test_sweep_report_rejects_wrong_flag():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         SweepReport(b=5, phi_b=4, count_zero=2, count_plus=1, count_minus=1,
                     closed_zero=2, closed_plus=1, closed_minus=1, consistent=False)

@@ -6,12 +6,21 @@ from fractions import Fraction
 import pytest
 
 from cotsum import core, distribution, exact, numeric, totient, verify
-from cotsum.errors import check_int
+from cotsum.errors import InvariantError, PreconditionError, check_int
 
 
 class _Level(IntEnum):
     ZERO = 0
     TWO = 2
+
+
+def test_the_three_failure_kinds_are_unrelated_types():
+    # no handler of malformed input (ValueError) or of a violated hypothesis
+    # can swallow a broken identity, nor the other way round
+    kinds = (ValueError, PreconditionError, InvariantError)
+    for kind in kinds:
+        assert [issubclass(kind, other) for other in kinds].count(True) == 1
+    assert not issubclass(InvariantError, ArithmeticError)
 
 
 def test_check_int_accepts_plain_ints_at_or_above_the_bound():

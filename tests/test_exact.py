@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotsum.errors import InvariantError
 from cotsum.exact import BoundaryCount, boundary_count, frac_part, shifted_frac_part
 
 
@@ -113,11 +114,11 @@ def test_boundary_count_monotone_in_steps_of_b():
 
 
 def test_boundary_count_type_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=2, value=3)  # not a multiple of b
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=0, value=5)  # empty window, nonzero count
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=3, value=10)  # short window, two multiples
 
 

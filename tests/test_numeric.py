@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cotsum.errors import PreconditionError
+from cotsum.errors import InvariantError, PreconditionError
 from cotsum.exact import frac_part
 from cotsum.core import eval_exact
 from cotsum.numeric import (
@@ -57,11 +57,11 @@ def test_eval_float_agrees_with_exact_small():
 
 
 def test_numeric_result_validates_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         NumericResult(value=float("nan"), term_count=3, abs_bound=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         NumericResult(value=0.0, term_count=0, abs_bound=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         NumericResult(value=0.0, term_count=3, abs_bound=-1.0)
 
 

@@ -14,6 +14,7 @@ PUBLIC = [
     "CheckResult",
     "CotSumValue",
     "CotTag",
+    "InvariantError",
     "MasterWitness",
     "NumericResult",
     "PhiApproximation",

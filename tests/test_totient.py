@@ -5,16 +5,19 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotsum.errors import PreconditionError
+from cotsum import totient
+from cotsum.errors import InvariantError, PreconditionError
 from cotsum.totient import (
     _ENDPOINT_DIGITS_MAX,
     _FACTOR_MAX,
     _SCAN_MAX,
+    _SIEVE_MAX,
     ArithmeticProfile,
     PhiApproximation,
     RangeBound,
@@ -92,6 +95,14 @@ def test_profile_cache_keeps_its_callers_repeats():
     assert arithmetic_profile.cache_info().misses <= sum(500 // d for d in range(1, 501))
 
 
+def test_spf_sieve_refuses_a_limit_over_the_ceiling():
+    with pytest.raises(ValueError, match=rf"^a sieve takes limit <= {_SIEVE_MAX}, got {_SIEVE_MAX + 1}$"):
+        spf_sieve(_SIEVE_MAX + 1)
+    spf = spf_sieve(_SIEVE_MAX)  # 10^6: about 0.2 s and 38 MB
+    assert len(spf) == _SIEVE_MAX + 1
+    assert (spf[_SIEVE_MAX], spf[999_983], spf[999_999]) == (2, 999_983, 3)
+
+
 def test_profile_against_sieve():
     spf = spf_sieve(2000)
     for n in range(2, 2001):
@@ -109,13 +120,13 @@ def test_profile_against_sieve():
 
 
 def test_profile_type_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         ArithmeticProfile(n=6, prime_powers=((2, 1),), omega=1, mobius=-1,
                           euler_phi=1, squarefree_divisors=((1, 1), (2, -1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=2, mobius=-1,
                           euler_phi=2, squarefree_divisors=((1, 1), (2, -1), (3, -1), (6, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=2, mobius=1,
                           euler_phi=3, squarefree_divisors=((1, 1), (2, -1), (3, -1), (6, 1)))
 
@@ -341,17 +352,17 @@ def test_phi_approx_error_stays_under_half_bound():
 
 
 def test_phi_approx_type_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         PhiApproximation(n=6, lo=1, hi=6, estimate=Fraction(2), exact=2,
                          error=Fraction(1), bound=8)  # error != exact - estimate
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         PhiApproximation(n=6, lo=1, hi=6, estimate=Fraction(30), exact=2,
                          error=Fraction(-28), bound=8)  # bound violated
     # an error off by 1/n no longer equals exact - estimate
     for n, lo, hi in [(30, 7, 100), (12, 5, 17), (2, 1, 1), (97, 3, 500)]:
         ap = phi_approx(n, lo, hi)
         for off in (Fraction(1, n), -Fraction(1, n)):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvariantError):
                 replace(ap, error=ap.error + off)
 
 
@@ -363,6 +374,19 @@ def test_partition_counts_every_integer_once():
     for n in (1, 2, 12, 30, 49, 128):
         for lo in (1, 5, n):
             assert divisor_partition_identity(n, lo, lo + 17) == 18
+
+
+def test_identity_self_checks_raise_invariant_error(monkeypatch):
+    # a count that fails to telescope, or a sum that fails to pair, is a
+    # broken identity, not a malformed argument
+    with monkeypatch.context() as mp:
+        mp.setattr(totient, "_mobius_count", lambda n, *rest: 1)
+        with pytest.raises(InvariantError, match=r"^partition of \[8, 10\] by gcd with 6 came to 4, not 3$"):
+            divisor_partition_identity(6, 8, 10)
+    # a gcd that reads only k = 1 as coprime: the sum 1 does not pair to 5/2
+    monkeypatch.setattr(totient, "math", SimpleNamespace(gcd=lambda n, k: 1 if k == 1 else n))
+    with pytest.raises(InvariantError, match=r"^paired sum broke: 2\*1 != 5\*1 on \[1, 4\]$"):
+        coprime_sum(5, 1, 4)
 
 
 def fraction_route_partition(n, lo, hi, by_divisor):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -114,6 +115,44 @@ def test_non_int_parameters_rejected_up_front(kwargs, message):
     assert str(info.value) == message
 
 
+def _unreachable(ctx):
+    raise AssertionError("a check ran although run_checks should have refused its arguments")
+
+
+def test_oversized_max_b_refused_before_any_check(monkeypatch):
+    # the sweep check's residue ceiling also bounds the trichotomy check, which
+    # walks the same residues; both are refused before the first check runs
+    monkeypatch.setattr(verify, "_CHECKS", (_unreachable,))
+    over = r"^a sweep classifies at most 50000000 residues, got 50004998 for b in \[2, 10001\]$"
+    with pytest.raises(ValueError, match=over):
+        run_checks(max_b=10_001, max_n=1)
+    verify._check_run_args(10_000, 1, 0, 1)  # 49,994,998 residues, the widest under it
+
+
+def test_a_library_invariant_error_is_a_failing_check(monkeypatch):
+    # the runner reports a self-check's message with no counterexample, and
+    # the rest of the battery runs on
+    module, attr, make = MUTANTS["tag-zero-as-plus-above-10"][:3]
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    report = run_checks(max_b=11, max_n=1)
+    failing = [c for c in report["checks"] if not c["passed"]]
+    assert failing == [{
+        "module": "core", "name": "trichotomy-and-predicates", "passed": False, "cases": 32,
+        "detail": "tag PlusHalfB inconsistent with value 0", "counterexample": None,
+    }]
+    assert report["summary"]["checks"] == 21
+
+
+def test_a_value_error_inside_a_check_is_not_a_failing_check(monkeypatch):
+    # malformed input is not a broken identity: it leaves run_checks unreported
+    def refuse(n, lo, hi):
+        raise ValueError("refused inside a check")
+
+    monkeypatch.setattr(totient, "phi_approx", refuse)
+    with pytest.raises(ValueError, match="^refused inside a check$"):
+        run_checks(max_b=2, max_n=2)
+
+
 # lo == hi, width 2, widths 2^k - 1, 2^k and 2^k + 1 (where the rejection
 # loop's bit count changes), widths above 2^64, and negative lo
 _RANDINT_RANGES = (
@@ -196,14 +235,15 @@ def _mobius_plus_1_where_7_divides_n(mobius_count):
     return lambda n, *rest: mobius_count(n, *rest) + (n % 7 == 0)
 
 
-# this one and the next fail where a check refuses before counting the case
-def _approx_refuses_17(phi_approx):
-    def mutant(n, lo, hi):
-        if n == 17:
-            raise ValueError("mutant refuses n = 17")
-        return phi_approx(n, lo, hi)
+def _tag_zero_as_plus_above_10(tag):
+    # the library's own self-check catches it: CotSumValue refuses the tag
+    return lambda num, den, b: 1 if num == 0 and b > 10 else tag(num, den, b)
 
-    return mutant
+
+# these two fail where a check fails before counting the case: the first in
+# PhiApproximation's own bound check, the second in the check itself
+def _approx_bound_0_at_17(phi_approx):
+    return lambda n, lo, hi: replace(phi_approx(n, lo, hi), bound=0) if n == 17 else phi_approx(n, lo, hi)
 
 
 def _legendre_1_at_9_0(legendre_phi):
@@ -257,16 +297,20 @@ MUTANTS = {
         distribution, "_kernel", _kernel_plus_b_above_10, "3c331b2037e5f367fbb2305023f4611cc5abe304ee103e719d67c930ef59a063",
         [("sweep-closed-forms", 9)],
     ),
+    "tag-zero-as-plus-above-10": (
+        core, "_tag", _tag_zero_as_plus_above_10, "0ffef10bca1273bb408ad6cfa51513518bb14d0030045c19d7a4906bf886dba7",
+        [("trichotomy-and-predicates", 32)],
+    ),
     "boundary-plus-b-at-k-b-plus-1": (
         exact, "_boundary_value", _boundary_plus_b_at_k_b_plus_1, "05d95ef19383fa47d554c6e962a2fc98c4c08f76efdf97404bc984300d711571",
         [("shift-rule-vs-direct-reduction", 4), ("boundary-count-window-steps", 4)],
     ),
     "mobius-plus-1-where-7-divides-n": (
-        totient, "_mobius_count", _mobius_plus_1_where_7_divides_n, "d1eeefc5c4a6ec88d654c88a76fc5c5439598232aa9155ac63054cea6d8916a9",
+        totient, "_mobius_count", _mobius_plus_1_where_7_divides_n, "b94353fe805df045cbdbdd90e48ffe0f190b4f0762872c68b5da0276c19e244f",
         [("prefix-exhaustive-agreement", 94), ("random-rational-agreement", 1231), ("prefix-decomposition", 1002), ("gcd-partition-telescopes", 301), ("sweep-closed-forms", 5)],
     ),
-    "approx-refuses-17": (
-        totient, "phi_approx", _approx_refuses_17, "cc557ae71b400b186e54d888e36f2dced24669ad7241fdb7e5dacf2241e78441",
+    "approx-bound-0-at-17": (
+        totient, "phi_approx", _approx_bound_0_at_17, "354c3f70af60d6843bb3a516ac6d2f46ae0b522dddba7e7719a01b03af1a0b75",
         [("main-term-error-bound", 1500)],
     ),
     "legendre-1-at-9-0": (
