@@ -30,6 +30,7 @@ itself and calls neither gcd nor `totient`, while the closed forms start from
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
 
@@ -165,19 +166,117 @@ def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     The range may hold at most _SWEEP_MAX (5 * 10^7) residues in all, the
     sum of b - 1 over its moduli; a larger one raises ValueError up front.
 
-    workers only schedules the work: a pool starts at most
-    min(workers, os.cpu_count(), number of moduli) processes, and a pool of
-    one, or a range of fewer than 4 moduli, runs in this process instead. The
-    rows are the same for every workers.
+    workers only schedules the work: the moduli are cut into
+    min(workers, os.cpu_count(), number of moduli) contiguous shares of about
+    equal work, and that count includes this process, which sweeps the first
+    share while each other share runs in a child made by os.fork() itself,
+    not by the platform's default start method. A child therefore inherits
+    this process as it is, monkeypatches included. With one share, or where
+    os.fork does not exist, every share is swept here. The rows are the same
+    for every workers.
     """
     _check_sweep_args(b_lo, b_hi, workers)
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
-    processes = min(workers, os.cpu_count() or 1, len(moduli))
-    if processes == 1 or len(moduli) < 4:
-        return [sweep(b) for b in moduli]
-    from concurrent.futures import ProcessPoolExecutor
+    shares = _shares(moduli, min(workers, os.cpu_count() or 1, len(moduli)))
+    swept = _fan_out([lambda share=share: [sweep(b) for b in share] for share in shares])
+    return [rep for rows in swept for rep in rows]
 
-    chunk = max(1, len(moduli) // (processes * 4))
-    # a fork-context pool starts all max_workers processes at its first submit
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(sweep, moduli, chunksize=chunk))
+
+def _shares(moduli: list[int], count: int) -> list[list[int]]:
+    """moduli cut into count contiguous, non-empty shares of about equal sum.
+
+    A modulus b costs about b (its b - 1 residues), so equal-count shares
+    would leave the last one the most work.
+    """
+    total, running, start, shares = sum(moduli), 0, 0, []
+    for i, b in enumerate(moduli):
+        running += b
+        later = count - len(shares) - 1  # shares still to open after this one
+        # close the share at its part of the total, or when each later share
+        # has only one modulus left
+        if later and (running * count >= (len(shares) + 1) * total or len(moduli) - i - 1 == later):
+            shares.append(moduli[start:i + 1])
+            start = i + 1
+    shares.append(moduli[start:])
+    return shares
+
+
+def _fan_out(jobs: list[Callable[[], object]]) -> list:
+    """[job() for job in jobs]: jobs[0] runs in this process, each other job in a forked child.
+
+    Each child is made by os.fork() itself, whatever the platform's default
+    start method, so it inherits this process as it is, monkeypatches
+    included; it holds only the forking thread, which is safe because cotsum
+    starts no other. Where os.fork does not exist every job runs here, in
+    order. A child's exception is raised here again with its type and args;
+    a child that dies without a result raises RuntimeError. If this
+    process's job or a child raises, the children still running are killed
+    and reaped first.
+    """
+    if len(jobs) == 1 or not hasattr(os, "fork"):
+        return [job() for job in jobs]
+    pending = []
+    try:
+        for job in jobs[1:]:
+            pending.append(_fork(job))
+        results = [jobs[0]()]
+        while pending:  # popped first: a finish that raises has reaped its child
+            results.append(pending.pop(0)())
+    except BaseException:
+        for finish in pending:
+            finish(kill=True)
+        raise
+    return results
+
+
+def _fork(job: Callable[[], object]) -> Callable[..., object]:
+    """Start job() in an os.fork() child and return `finish`, which waits for its result.
+
+    The child pickles (True, result) or (False, exception) into a pipe and
+    leaves through os._exit, so it never returns into its caller. finish()
+    reads the pipe to EOF before it reaps the child, since a result may
+    outgrow the pipe's buffer; finish(kill=True) kills and reaps it instead.
+    """
+    import pickle
+    import signal
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1  # a result that cannot be pickled leaves the pipe empty
+        try:
+            os.close(read)
+            try:
+                reply = (True, job())
+            except BaseException as exc:
+                reply = (False, exc)
+            data = pickle.dumps(reply)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+
+    def finish(kill: bool = False):
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+            return None
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        if not data:
+            raise RuntimeError(f"a forked share ended without a result (wait status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return finish

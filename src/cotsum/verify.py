@@ -8,7 +8,8 @@ order (each draw as its `randint` would make it, see `_randint`), and nothing
 time- or host-dependent is recorded.
 
 A check is a generator over the run's `_Ctx`, registered in `_CHECKS` by
-`@_check(module, name, pass detail)`: it yields once per case and raises
+`@_check(module, name, pass detail)`, with `seeded=True` if it draws from
+`ctx.rng`: it yields once per case and raises
 `_Failed(detail, **counterexample)` at its first failure, and its runner
 counts the yields into a `CheckResult`. Registration order is report order.
 `_Failed` is an `InvariantError`, as is a library result's failed self-check,
@@ -18,7 +19,9 @@ Beyond pass/fail checks the report carries two more sections:
 
   expected_discrepancies  the wrong-variant functions shipped on purpose,
                           re-run against pinned values so a silent "fix"
-                          (or a regression in the correct path) trips the gate
+                          (or a regression in the correct path) trips the gate;
+                          a library self-check that breaks among them is one
+                          failing entry carrying its message
   empirical               observed extremes with no exact theory attached,
                           currently the largest main-term error seen and how
                           much of its proven bound it used
@@ -93,10 +96,18 @@ class _Failed(InvariantError):
 
 
 _CHECKS: list[Callable[[_Ctx], CheckResult]] = []
+# The positions in _CHECKS of the checks that draw from ctx.rng. They are
+# kept apart from the runners because the benchmark rebinds _CHECKS to
+# timing wrappers, which would drop an attribute set on a runner.
+_SEEDED: set[int] = set()
 
 
-def _check(module: str, name: str, detail: str):
-    """Append a runner of the check below to _CHECKS; {max_b} in detail reads ctx."""
+def _check(module: str, name: str, detail: str, seeded: bool = False):
+    """Append a runner of the check below to _CHECKS; {max_b} in detail reads ctx.
+
+    seeded declares that the check draws from ctx.rng; tests/test_verify.py
+    runs every other check with a stream that refuses to be drawn from.
+    """
 
     def register(gen: Callable[[_Ctx], Iterator[None]]):
         def run(ctx: _Ctx) -> CheckResult:
@@ -108,6 +119,8 @@ def _check(module: str, name: str, detail: str):
                 return CheckResult(module, name, False, cases, *fail.args)
             return CheckResult(module, name, True, cases, detail.format(max_b=ctx.max_b))
 
+        if seeded:
+            _SEEDED.add(len(_CHECKS))
         _CHECKS.append(run)
         return gen
 
@@ -303,7 +316,7 @@ def _check_oracle_agreement(ctx: _Ctx) -> Iterator[None]:
                     raise _Failed("reported abs_bound below the value", n=n, a=a, b=b, float_value=fv, abs_bound=bound)
 
 
-@_check("numeric", "vanishing-cosine-powers", "q <= 5, twenty seeded (n, a) draws per (b, q), b <= 300")
+@_check("numeric", "vanishing-cosine-powers", "q <= 5, twenty seeded (n, a) draws per (b, q), b <= 300", seeded=True)
 def _check_vanishing_cos(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
@@ -317,7 +330,7 @@ def _check_vanishing_cos(ctx: _Ctx) -> Iterator[None]:
                     raise _Failed("odd-times-even sum failed to cancel", n=n, a=a, b=b, q=q, value=res.value)
 
 
-@_check("numeric", "vanishing-sine-squares", "twenty seeded (n, a) draws per b <= 300")
+@_check("numeric", "vanishing-sine-squares", "twenty seeded (n, a) draws per b <= 300", seeded=True)
 def _check_vanishing_sin2(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
@@ -330,7 +343,7 @@ def _check_vanishing_sin2(ctx: _Ctx) -> Iterator[None]:
                 raise _Failed("squared-sine sum failed to cancel", n=n, a=a, b=b, value=res.value)
 
 
-@_check("numeric", "sine-sum-fractional-part", "five seeded draws per b <= 300, b not dividing n*a")
+@_check("numeric", "sine-sum-fractional-part", "five seeded draws per b <= 300, b not dividing n*a", seeded=True)
 def _check_sine_sum_frac(ctx: _Ctx) -> Iterator[None]:
     for b in range(2, min(ctx.max_b, 300) + 1):
         t = numeric.tol(b)
@@ -375,7 +388,7 @@ def _check_profiles(ctx: _Ctx) -> Iterator[None]:
 
 
 @_check("totient", "prefix-exhaustive-agreement",
-        "every prefix bound x <= 3n for n <= 200, plus seeded telescoping draws")
+        "every prefix bound x <= 3n for n <= 200, plus seeded telescoping draws", seeded=True)
 def _check_prefix_exhaustive(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 200) + 1):
         if totient.legendre_phi(n, 0) != 0:
@@ -400,7 +413,7 @@ def _check_prefix_exhaustive(ctx: _Ctx) -> Iterator[None]:
 
 
 @_check("totient", "random-rational-agreement",
-        "200 seeded rational ranges (width <= 48) per n, plus 5 wide ranges per n")
+        "200 seeded rational ranges (width <= 48) per n, plus 5 wide ranges per n", seeded=True)
 def _check_random_rational(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 1000) + 1):
         for _ in range(200):
@@ -433,7 +446,7 @@ def _check_random_rational(ctx: _Ctx) -> Iterator[None]:
                 raise _Failed("wide range disagrees with prefix difference", n=n, lo=bounds.lo, hi=bounds.hi)
 
 
-@_check("totient", "prefix-decomposition", "100 seeded integer ranges per n <= 500, plus the frozen instance")
+@_check("totient", "prefix-decomposition", "100 seeded integer ranges per n <= 500, plus the frozen instance", seeded=True)
 def _check_decomposition(ctx: _Ctx) -> Iterator[None]:
     yield
     dec = totient.phi_decomposition(12, 5, 17)
@@ -454,7 +467,7 @@ def _check_decomposition(ctx: _Ctx) -> Iterator[None]:
                     raise _Failed("prefix decomposition missed the direct scan", n=n, lo=lo, hi=hi)
 
 
-@_check("totient", "main-term-error-bound", "100 seeded integer ranges per n <= 2000 against |error| <= 2*2^omega")
+@_check("totient", "main-term-error-bound", "100 seeded integer ranges per n <= 2000 against |error| <= 2*2^omega", seeded=True)
 def _check_approx_bound(ctx: _Ctx) -> Iterator[None]:
     worst_err = Fraction(0)  # rebuilt only when the maximum moves
     worst_err_at: dict | None = None
@@ -485,7 +498,7 @@ def _check_approx_bound(ctx: _Ctx) -> Iterator[None]:
     }
 
 
-@_check("totient", "gcd-partition-telescopes", "50 seeded integer ranges per n <= 500")
+@_check("totient", "gcd-partition-telescopes", "50 seeded integer ranges per n <= 500", seeded=True)
 def _check_partition(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 500) + 1):
         for _ in range(50):
@@ -605,13 +618,37 @@ def _check_run_args(max_b: int, max_n: int, seed: int, workers: int) -> None:
 def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int = 1) -> dict:
     """Run the whole battery and return the report as a JSON-ready dict.
 
-    The report depends only on (max_b, max_n, seed); workers only changes how
-    the sweep check is scheduled, never its content or ordering.
+    The report depends only on (max_b, max_n, seed); workers only schedules
+    the work, never its content or ordering. At workers=1 every check runs
+    here, in order. From workers=2 on the battery runs in two processes,
+    this one included: this process runs the checks declared seeded, in
+    order on the one stream, and one child made by os.fork() itself, not by
+    the platform's default start method, runs the others. The sweep check
+    is among them, and its sweep_range forks its own shares from that child
+    with the same workers. A child inherits this process as it is,
+    monkeypatches included; where os.fork does not exist every check runs
+    here. The report lists the checks in registration order either way.
+
+    A pinned wrong variant that breaks a library self-check is reported as
+    one failing pin carrying the error's message, not raised.
     """
     _check_run_args(max_b, max_n, seed, workers)
     ctx = _Ctx(max_b=max_b, max_n=max_n, workers=workers, rng=random.Random(seed))
-    results = [check(ctx) for check in _CHECKS]
-    discrepancies = _expected_discrepancies()
+    if workers == 1:
+        results = [check(ctx) for check in _CHECKS]
+    else:
+        # only the seeded checks read the stream, and only one of them writes
+        # ctx.empirical, so the child's checks leave nothing behind in ctx
+        positions = range(len(_CHECKS))
+        seeded = [i for i in positions if i in _SEEDED]
+        free = [i for i in positions if i not in _SEEDED]
+        mine, theirs = distribution._fan_out([lambda share=share: [_CHECKS[i](ctx) for i in share] for share in (seeded, free)])
+        by_position = dict(zip(seeded + free, mine + theirs))
+        results = [by_position[i] for i in positions]
+    try:
+        discrepancies = _expected_discrepancies()
+    except InvariantError as fail:  # a pinned function's own self-check broke
+        discrepancies = [{"name": "expected-discrepancies", "detail": str(fail), "matches_pin": False}]
     pins_ok = all(rec["matches_pin"] for rec in discrepancies)
     failed = sum(1 for r in results if not r.passed)
     return {

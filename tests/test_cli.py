@@ -269,6 +269,24 @@ def test_verify_writes_its_report_when_a_self_check_breaks(tag_zero_as_plus, tmp
     assert "[FAIL] core/trichotomy-and-predicates (32 cases)" in err
 
 
+def test_verify_writes_its_report_when_a_pinned_variant_breaks_a_self_check(monkeypatch):
+    # the pinned wrong variants run after every check; a self-check that
+    # breaks there is one failing pin with its message, and the report is
+    # still written
+    mobius_count = totient._mobius_count
+    monkeypatch.setattr(totient, "_mobius_count", lambda n, *rest: mobius_count(n, *rest) + (n == 2))
+    code, out, err = run_cli("verify", "--max-b", "4", "--max-n", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["expected_discrepancies"] == [{
+        "name": "expected-discrepancies",
+        "detail": "partition of [1, 2] by gcd with 2 came to 3, not 2",
+        "matches_pin": False,
+    }]
+    assert report["summary"]["expected_discrepancies_pinned"] is False and report["summary"]["ok"] is False
+    assert err.endswith("[FAIL] pinned/expected-discrepancies\n")
+
+
 # --- the process boundary ----------------------------------------------------
 
 
@@ -284,7 +302,7 @@ def test_verify_writes_its_report_when_a_self_check_breaks(tag_zero_as_plus, tmp
     ids=["eval", "classify", "totient", "sweep", "verify"],
 )
 def test_python_m_cotsum_writes_what_the_in_process_runner_writes(argv):
-    # covers __main__.py and, for sweep, a real pool in a real process
+    # covers __main__.py and, for sweep, a real forked share in a real process
     proc = run_cotsum(*argv)
     assert proc.returncode == 0, proc.stderr
     assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2]

@@ -1,10 +1,11 @@
 """Per-modulus value distribution and its closed-form prediction."""
 
-import concurrent.futures
+import os
 import tracemalloc
 from math import gcd
 
 import pytest
+from conftest import run_python
 
 from cotsum import core, distribution
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
@@ -197,32 +198,117 @@ def test_sweep_range_parallel_matches_serial():
         (100_000, 4, 50, [4]),  # capped by the CPU count
         (100_000, 64, 6, [4]),  # capped by the moduli 2, 4, 5, 6
         (3, 64, 50, [3]),  # workers is the smallest
-        (100_000, 1, 50, []),  # one process: no pool at all
+        (100_000, 1, 50, []),  # one share: nothing forked
         (100_000, None, 50, []),  # an unknown CPU count counts as one
     ],
 )
 def test_sweep_range_starts_at_most_one_process_per_cpu_and_modulus(monkeypatch, workers, cpus, b_hi, started):
-    # a stand-in pool records max_workers and maps in this process, so no
-    # process is ever started however large workers is
-    recorded = []
+    # a stand-in for the fork step runs each child's share in this process
+    # and records its moduli, so no process is ever started however large
+    # workers is; started counts this process with the children it forks
+    moduli = [b for b in range(2, b_hi + 1) if b != 3]
+    serial = [sweep(b) for b in moduli]
+    swept = []  # every modulus, in the order it was swept
+    forked = []  # the moduli of each share handed to the fork step
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
+    def logged_sweep(b):
+        swept.append(b)
+        return sweep(b)
 
-        def __enter__(self):
-            return self
+    def fork(job):
+        first = len(swept)
+        rows = job()
+        forked.append(swept[first:])
+        return lambda kill=False: rows
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(distribution, "sweep", logged_sweep)
+    monkeypatch.setattr(distribution, "_fork", fork)
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
-    assert sweep_range(2, b_hi, workers=workers) == sweep_range(2, b_hi)
-    assert recorded == started
+    assert sweep_range(2, b_hi, workers=workers) == serial
+    assert ([1 + len(forked)] if forked else []) == started
+    # this process sweeps the first share itself, after forking the others;
+    # every share is a non-empty run of the moduli, in order
+    here = swept[sum(map(len, forked)):]
+    shares = [here, *forked]
+    assert all(shares) and [b for share in shares for b in share] == moduli
+
+
+def test_shares_are_contiguous_with_about_equal_work():
+    # a modulus costs about b, so shares balance the sum of b, not the count
+    moduli = [b for b in range(2, 1501) if b != 3]
+    for count in (2, 3, 7):
+        shares = distribution._shares(moduli, count)
+        assert len(shares) == count and [b for share in shares for b in share] == moduli
+        sums = [sum(share) for share in shares]
+        assert max(sums) - min(sums) <= 2 * max(moduli), (count, sums)
+    # a heavy modulus cannot empty the shares after it
+    assert distribution._shares([2, 4, 1000], 3) == [[2], [4], [1000]]
+    assert distribution._shares([1000, 2, 4], 3) == [[1000], [2], [4]]
+
+
+# ---------------------------------------------------------------- fan-out
+
+
+def _raise(exc):
+    def job():
+        raise exc
+
+    return job
+
+
+def test_fan_out_runs_the_first_job_here_and_the_others_in_children():
+    # a result larger than the 64 KiB pipe buffer must not stall the read
+    big = bytes(range(256)) * 4096
+    pids = distribution._fan_out([os.getpid, os.getpid, lambda: big])
+    assert pids[0] == os.getpid() and os.getpid() != pids[1]
+    assert pids[2] == big
+
+
+@pytest.mark.parametrize(
+    "exc", [InvariantError("a child's identity broke"), ValueError("a child's argument", 7)], ids=lambda exc: type(exc).__name__
+)
+def test_fan_out_raises_a_childs_error_with_its_type_and_args(exc):
+    with pytest.raises(type(exc)) as info:
+        distribution._fan_out([lambda: 1, _raise(exc)])
+    assert type(info.value) is type(exc) and info.value.args == exc.args
+
+
+def test_fan_out_child_that_dies_without_a_result_is_a_runtime_error():
+    # os._exit(3) leaves the pipe empty; 768 is the wait status of exit code 3
+    with pytest.raises(RuntimeError, match=r"^a forked share ended without a result \(wait status 768\)$"):
+        distribution._fan_out([lambda: 1, lambda: os._exit(3)])
+
+
+_PARENT_RAISES = """
+import os, time
+from cotsum import distribution
+
+def parent_share():
+    raise KeyError("this process's share")
+
+try:
+    distribution._fan_out([parent_share, lambda: time.sleep(60), lambda: time.sleep(60)])
+except KeyError as exc:
+    print("raised", exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_fan_out_kills_and_reaps_its_children_when_this_process_share_raises():
+    # in a fresh interpreter: the pytest process has a child of its own, the
+    # acceptance battery, which os.waitpid(-1, ...) would see
+    proc = run_python("-c", _PARENT_RAISES, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "raised \"this process's share\"\nno child left\n", "")
+
+
+def test_without_os_fork_every_share_runs_here(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+    assert distribution._fan_out([os.getpid, os.getpid]) == [os.getpid()] * 2
+    assert sweep_range(2, 60, workers=2) == sweep_range(2, 60)
 
 
 def test_closed_form_counts_match_gcd_scan():

@@ -52,6 +52,34 @@ def test_workers_do_not_change_the_report(small_report):
     assert parallel == small_report
 
 
+class _NoDraws(random.Random):
+    """A stream that refuses every draw the battery makes (`_randint` reads getrandbits)."""
+
+    def getrandbits(self, k):
+        raise AssertionError("drew from the stream")
+
+
+def test_checks_declared_seed_free_never_draw():
+    # workers >= 2 runs these away from the stream, so a wrong declaration
+    # would move the report; each must pass without a single draw
+    ctx = verify._Ctx(max_b=25, max_n=60, workers=1, rng=_NoDraws(7))
+    free = [check for i, check in enumerate(verify._CHECKS) if i not in verify._SEEDED]
+    assert len(free) == 13
+    for check in free:
+        result = check(ctx)
+        assert result.passed and result.cases > 0, result
+
+
+def test_checks_declared_seeded_draw():
+    # and the other way round: a check declared seeded but drawing nothing
+    # would only keep work off the child
+    assert len(verify._SEEDED) == 8
+    for i in sorted(verify._SEEDED):
+        ctx = verify._Ctx(max_b=25, max_n=60, workers=1, rng=_NoDraws(7))
+        with pytest.raises(AssertionError, match="^drew from the stream$"):
+            verify._CHECKS[i](ctx)
+
+
 def test_pinned_discrepancies(small_report):
     pinned = {rec["name"]: rec for rec in small_report["expected_discrepancies"]}
     assert small_report["summary"]["expected_discrepancies_pinned"] is True
@@ -219,6 +247,20 @@ def test_report_bytes_pinned_25_60_1009():
     assert report_sha256(report) == "f26776046c400157b8c54ac88bdafb999aa432fdfe29eb54118652435e58e863"
 
 
+@pytest.mark.parametrize(
+    "max_b,max_n,seed,sha256",
+    [
+        (12, 30, 0, "05f54f3310c309a04456100799825848671b8afbd288a28a4aaf6e84f5775c7f"),
+        (25, 60, 7, "86ccc72152de2bc414d7726bea916aca5079e9149c4436600683814bc6482810"),
+        (25, 60, 1009, "f26776046c400157b8c54ac88bdafb999aa432fdfe29eb54118652435e58e863"),
+    ],
+    ids=["12-30-0", "25-60-7", "25-60-1009"],
+)
+def test_report_bytes_pinned_at_workers_2(max_b, max_n, seed, sha256):
+    # the pins above, with the seed-free checks run in a forked child
+    assert report_sha256(run_checks(max_b=max_b, max_n=max_n, seed=seed, workers=2)) == sha256
+
+
 def _kernel_plus_b_above_10(kernel):
     def mutant(na, b):
         num, den = kernel(na, b)
@@ -352,6 +394,27 @@ def test_failing_report_bytes_pinned_under_mutant(mutant, monkeypatch):
     assert [(c["name"], c["cases"]) for c in report["checks"] if not c["passed"]] == failing
     assert report["summary"]["ok"] is False
     assert report_sha256(report) == sha256
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_failing_report_bytes_pinned_under_mutant_at_workers_2(mutant, monkeypatch):
+    # the forked child inherits the monkeypatched mutant, whichever share
+    # runs the checks it breaks
+    module, attr, make, sha256, _ = MUTANTS[mutant]
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    assert report_sha256(run_checks(max_b=12, max_n=30, seed=0, workers=2)) == sha256
+
+
+@pytest.mark.parametrize("mutant", sorted(m for m in MUTANTS if MUTANTS[m][1] in ("_kernel", "_tag")))
+def test_sweep_rows_under_kernel_and_tag_mutants_at_workers_2(mutant, monkeypatch):
+    # each mutant is applied to the sweep's own binding of what it patches
+    attr, make = MUTANTS[mutant][1:3]
+    clean = distribution.sweep_range(2, 60)
+    monkeypatch.setattr(distribution, attr, make(getattr(distribution, attr)))
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+    serial = distribution.sweep_range(2, 60)
+    assert serial != clean
+    assert distribution.sweep_range(2, 60, workers=2) == serial
 
 
 def test_every_check_has_a_failing_golden_pin(small_report):
