@@ -25,6 +25,12 @@ whatever b is.
 The two sides share no code path: the residue scan finds b's prime divisors
 itself and calls neither gcd nor `totient`, while the closed forms start from
 `totient`'s factorization and never look at a single residue.
+
+`workers` means one thing wherever it is taken. `_processes` decides how many
+processes a run may use at once, the calling one included, and `_fan_out`
+runs one job per process, forking all but the first. `sweep_range` fans out
+shares of its moduli through them, and `verify.run_checks` shares of its
+checks.
 """
 
 from __future__ import annotations
@@ -166,18 +172,14 @@ def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     The range may hold at most _SWEEP_MAX (5 * 10^7) residues in all, the
     sum of b - 1 over its moduli; a larger one raises ValueError up front.
 
-    workers only schedules the work: the moduli are cut into
-    min(workers, os.cpu_count(), number of moduli) contiguous shares of about
-    equal work, and that count includes this process, which sweeps the first
-    share while each other share runs in a child made by os.fork() itself,
-    not by the platform's default start method. A child therefore inherits
-    this process as it is, monkeypatches included. With one share, or where
-    os.fork does not exist, every share is swept here. The rows are the same
-    for every workers.
+    workers only schedules the work, and the rows are the same for every
+    value: the moduli are cut into _processes(workers) contiguous shares of
+    about equal work, or one per modulus if there are fewer, which _fan_out
+    runs, the first in this process.
     """
     _check_sweep_args(b_lo, b_hi, workers)
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
-    shares = _shares(moduli, min(workers, os.cpu_count() or 1, len(moduli)))
+    shares = _shares(moduli, min(_processes(workers), len(moduli)))
     swept = _fan_out([lambda share=share: [sweep(b) for b in share] for share in shares])
     return [rep for rows in swept for rep in rows]
 
@@ -201,17 +203,28 @@ def _shares(moduli: list[int], count: int) -> list[list[int]]:
     return shares
 
 
+def _processes(workers: int) -> int:
+    """How many processes a run of workers may use at once, this one included.
+
+    min(workers, os.cpu_count()), where an unknown CPU count counts as one,
+    so a one-CPU host forks nothing whatever workers is. A run with fewer
+    shares of work than that uses one process per share.
+    """
+    return min(workers, os.cpu_count() or 1)
+
+
 def _fan_out(jobs: list[Callable[[], object]]) -> list:
     """[job() for job in jobs]: jobs[0] runs in this process, each other job in a forked child.
 
-    Each child is made by os.fork() itself, whatever the platform's default
-    start method, so it inherits this process as it is, monkeypatches
-    included; it holds only the forking thread, which is safe because cotsum
-    starts no other. Where os.fork does not exist every job runs here, in
-    order. A child's exception is raised here again with its type and args;
-    a child that dies without a result raises RuntimeError. If this
-    process's job or a child raises, the children still running are killed
-    and reaped first.
+    Callers pass at most one job per process that _processes allows, so a
+    single job runs here and nothing forks. Each child is made by os.fork()
+    itself, whatever the platform's default start method, so it inherits
+    this process as it is, monkeypatches included; it holds only the forking
+    thread, which is safe because cotsum starts no other. Where os.fork does
+    not exist every job runs here, in order. A child's exception is raised
+    here again with its type and args; a child that dies without a result
+    raises RuntimeError. If this process's job or a child raises, the
+    children still running are killed and reaped first.
     """
     if len(jobs) == 1 or not hasattr(os, "fork"):
         return [job() for job in jobs]

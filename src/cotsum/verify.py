@@ -619,32 +619,33 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     """Run the whole battery and return the report as a JSON-ready dict.
 
     The report depends only on (max_b, max_n, seed); workers only schedules
-    the work, never its content or ordering. At workers=1 every check runs
-    here, in order. From workers=2 on the battery runs in two processes,
-    this one included: this process runs the checks declared seeded, in
-    order on the one stream, and one child made by os.fork() itself, not by
-    the platform's default start method, runs the others. The sweep check
-    is among them, and its sweep_range forks its own shares from that child
-    with the same workers. A child inherits this process as it is,
-    monkeypatches included; where os.fork does not exist every check runs
-    here. The report lists the checks in registration order either way.
+    the work, never its content or ordering. The checks are cut into at most
+    two shares, one per process that distribution._processes allows, and
+    run by distribution._fan_out, the first share in this process. With one
+    process the one share is every check, in registration order, and
+    nothing forks. With two or more, this process runs the checks declared
+    seeded, in order on the one stream, and one forked child runs the
+    others. The sweep check is among them, and its sweep_range gets the
+    processes this one leaves it, so the run never uses more at once than
+    _processes allows. The report lists the checks in registration order
+    either way.
 
     A pinned wrong variant that breaks a library self-check is reported as
     one failing pin carrying the error's message, not raised.
     """
     _check_run_args(max_b, max_n, seed, workers)
-    ctx = _Ctx(max_b=max_b, max_n=max_n, workers=workers, rng=random.Random(seed))
-    if workers == 1:
-        results = [check(ctx) for check in _CHECKS]
+    processes = distribution._processes(workers)
+    if processes == 1:
+        shares = [list(range(len(_CHECKS)))]
     else:
         # only the seeded checks read the stream, and only one of them writes
         # ctx.empirical, so the child's checks leave nothing behind in ctx
-        positions = range(len(_CHECKS))
-        seeded = [i for i in positions if i in _SEEDED]
-        free = [i for i in positions if i not in _SEEDED]
-        mine, theirs = distribution._fan_out([lambda share=share: [_CHECKS[i](ctx) for i in share] for share in (seeded, free)])
-        by_position = dict(zip(seeded + free, mine + theirs))
-        results = [by_position[i] for i in positions]
+        shares = [[i for i in range(len(_CHECKS)) if i in _SEEDED], [i for i in range(len(_CHECKS)) if i not in _SEEDED]]
+    # with two shares, the child's sweep check gets the processes this one leaves it
+    ctx = _Ctx(max_b=max_b, max_n=max_n, workers=processes + 1 - len(shares), rng=random.Random(seed))
+    ran = distribution._fan_out([lambda share=share: [_CHECKS[i](ctx) for i in share] for share in shares])
+    # back into registration order; positions are distinct, so no two results are compared
+    results = [result for _, result in sorted(zip(sum(shares, []), sum(ran, [])))]
     try:
         discrepancies = _expected_discrepancies()
     except InvariantError as fail:  # a pinned function's own self-check broke

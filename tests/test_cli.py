@@ -1,9 +1,10 @@
 """The CLI's formats and exit codes, through `cli.main` in this process.
 
 Every test drives the CLI through `conftest.run_cli`, which returns what
-`python -m cotsum` would: the exit code, stdout and stderr. One test runs a
-real `python -m cotsum` per subcommand and checks that the runner agrees with
-it byte for byte. The classify predicate table calls `cli.cmd_classify`
+`python -m cotsum` would: the exit code, stdout and stderr. One test runs
+`cotsum/__main__.py` in a fresh interpreter per subcommand, as
+`python -m cotsum` does, and checks that the runner agrees with it byte for
+byte. The classify predicate table calls `cli.cmd_classify`
 directly: a parser per call would cost seconds over its 5,500 operands.
 """
 
@@ -15,7 +16,7 @@ import json
 from math import gcd
 
 import pytest
-from conftest import run_cli, run_cotsum
+from conftest import run_cli, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_verify import MUTANTS, _unreachable
@@ -146,7 +147,8 @@ def test_sweep_json_is_an_array_with_marker():
     assert rows[3]["count_zero"] == 2 and rows[3]["consistent"] is True
 
 
-def test_sweep_writes_file_and_is_deterministic(tmp_path):
+def test_sweep_writes_file_and_is_deterministic(tmp_path, monkeypatch):
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)  # so --workers 2 forks on any host
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     code1, _, _ = run_cli("sweep", "2", "30", "--out", str(out1))
@@ -290,6 +292,11 @@ def test_verify_writes_its_report_when_a_pinned_variant_breaks_a_self_check(monk
 # --- the process boundary ----------------------------------------------------
 
 
+# `python -m cotsum` with os.cpu_count reading 2: runpy runs cotsum/__main__.py
+# as -m does, with the arguments after -c as sys.argv[1:]
+_MAIN_ON_2_CPUS = "import os, runpy; os.cpu_count = lambda: 2; runpy.run_module('cotsum', run_name='__main__', alter_sys=True)"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -301,9 +308,11 @@ def test_verify_writes_its_report_when_a_pinned_variant_breaks_a_self_check(monk
     ],
     ids=["eval", "classify", "totient", "sweep", "verify"],
 )
-def test_python_m_cotsum_writes_what_the_in_process_runner_writes(argv):
-    # covers __main__.py and, for sweep, a real forked share in a real process
-    proc = run_cotsum(*argv)
+def test_python_m_cotsum_writes_what_the_in_process_runner_writes(argv, monkeypatch):
+    # covers __main__.py and, for sweep, a real forked share in a real process:
+    # both runners read two CPUs, so --workers 2 forks on any host
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+    proc = run_python("-c", _MAIN_ON_2_CPUS, *argv)
     assert proc.returncode == 0, proc.stderr
     assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2]
 

@@ -186,7 +186,8 @@ def test_sweep_range_rejects_non_int_workers(workers):
         sweep_range(2, 6, workers=workers)
 
 
-def test_sweep_range_parallel_matches_serial():
+def test_sweep_range_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)  # so it forks on any host
     serial = sweep_range(2, 200)
     parallel = sweep_range(2, 200, workers=2)
     assert serial == parallel

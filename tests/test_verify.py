@@ -47,7 +47,9 @@ def test_report_is_json_ready_and_deterministic(small_report):
     assert json.loads(blob) == small_report
 
 
-def test_workers_do_not_change_the_report(small_report):
+def test_workers_do_not_change_the_report(small_report, monkeypatch):
+    # two CPUs, so the seed-free checks run in a forked child on any host
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
     parallel = run_checks(max_b=25, max_n=60, seed=7, workers=2)
     assert parallel == small_report
 
@@ -60,7 +62,7 @@ class _NoDraws(random.Random):
 
 
 def test_checks_declared_seed_free_never_draw():
-    # workers >= 2 runs these away from the stream, so a wrong declaration
+    # two processes run these away from the stream, so a wrong declaration
     # would move the report; each must pass without a single draw
     ctx = verify._Ctx(max_b=25, max_n=60, workers=1, rng=_NoDraws(7))
     free = [check for i, check in enumerate(verify._CHECKS) if i not in verify._SEEDED]
@@ -234,31 +236,76 @@ def timed_12_30():
     return report, times
 
 
+# sha256 of the report bytes at each small (max_b, max_n, seed) triple, at
+# every workers
+REPORT_SHA256 = {
+    (12, 30, 0): "05f54f3310c309a04456100799825848671b8afbd288a28a4aaf6e84f5775c7f",
+    (25, 60, 7): "86ccc72152de2bc414d7726bea916aca5079e9149c4436600683814bc6482810",
+    (25, 60, 1009): "f26776046c400157b8c54ac88bdafb999aa432fdfe29eb54118652435e58e863",
+}
+
+
 def test_report_bytes_pinned_25_60_7(small_report):
-    assert report_sha256(small_report) == "86ccc72152de2bc414d7726bea916aca5079e9149c4436600683814bc6482810"
+    assert report_sha256(small_report) == REPORT_SHA256[25, 60, 7]
 
 
 def test_report_bytes_pinned_12_30_0(timed_12_30):
-    assert report_sha256(timed_12_30[0]) == "05f54f3310c309a04456100799825848671b8afbd288a28a4aaf6e84f5775c7f"
+    assert report_sha256(timed_12_30[0]) == REPORT_SHA256[12, 30, 0]
 
 
 def test_report_bytes_pinned_25_60_1009():
-    report = run_checks(max_b=25, max_n=60, seed=1009)
-    assert report_sha256(report) == "f26776046c400157b8c54ac88bdafb999aa432fdfe29eb54118652435e58e863"
+    assert report_sha256(run_checks(max_b=25, max_n=60, seed=1009)) == REPORT_SHA256[25, 60, 1009]
+
+
+@pytest.mark.parametrize("triple", list(REPORT_SHA256), ids=lambda triple: "-".join(map(str, triple)))
+def test_report_bytes_pinned_at_workers_2(triple, monkeypatch):
+    # the pins above, with the seed-free checks run in a forked child
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+    assert report_sha256(run_checks(*triple, workers=2)) == REPORT_SHA256[triple]
 
 
 @pytest.mark.parametrize(
-    "max_b,max_n,seed,sha256",
+    "workers,cpus,forked",
     [
-        (12, 30, 0, "05f54f3310c309a04456100799825848671b8afbd288a28a4aaf6e84f5775c7f"),
-        (25, 60, 7, "86ccc72152de2bc414d7726bea916aca5079e9149c4436600683814bc6482810"),
-        (25, 60, 1009, "f26776046c400157b8c54ac88bdafb999aa432fdfe29eb54118652435e58e863"),
+        (1, 2, []),
+        (2, 1, []),  # one CPU: nothing forked
+        (2, 2, ["seed-free"]),
+        (4, 2, ["seed-free"]),  # the child is the second process of two, so its sweep forks nothing
+        (3, 4, ["sweep", "seed-free"]),  # the child's sweep forks the third, from the child
     ],
-    ids=["12-30-0", "25-60-7", "25-60-1009"],
+    ids=["workers-1", "workers-2-on-1-cpu", "workers-2-on-2-cpus", "workers-4-on-2-cpus", "workers-3-on-4-cpus"],
 )
-def test_report_bytes_pinned_at_workers_2(max_b, max_n, seed, sha256):
-    # the pins above, with the seed-free checks run in a forked child
-    assert report_sha256(run_checks(max_b=max_b, max_n=max_n, seed=seed, workers=2)) == sha256
+def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, workers, cpus, forked):
+    # a stand-in for the fork step runs each child's share in this process
+    # and records the checks it ran: none for a share of the sweep check's
+    # moduli, forked while the seed-free share runs
+    ran = []  # the position of every check, in the order it ran
+    shares = []  # the positions run by each share handed to the fork step
+
+    def logged(i, check):
+        def run(ctx):
+            ran.append(i)
+            return check(ctx)
+
+        return run
+
+    def fork(job):
+        first = len(ran)
+        results = job()
+        shares.append(ran[first:])
+        return lambda kill=False: results
+
+    monkeypatch.setattr(verify, "_CHECKS", tuple(logged(i, c) for i, c in enumerate(verify._CHECKS)))
+    monkeypatch.setattr(distribution, "_fork", fork)
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
+    assert report_sha256(run_checks(max_b=12, max_n=30, seed=0, workers=workers)) == REPORT_SHA256[12, 30, 0]
+    positions = list(range(len(verify._CHECKS)))
+    free = [i for i in positions if i not in verify._SEEDED]
+    seeded = [i for i in positions if i in verify._SEEDED]
+    assert len(free) == 13
+    assert shares == [free if share == "seed-free" else [] for share in forked]
+    # the child's share is forked before this process runs its own
+    assert ran == (free + seeded if forked else positions)
 
 
 def _kernel_plus_b_above_10(kernel):
@@ -386,23 +433,18 @@ MUTANTS = {
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_failing_report_bytes_pinned_under_mutant(mutant, monkeypatch):
+def test_failing_report_bytes_pinned_under_mutant(mutant, workers, monkeypatch):
+    # at workers=2 the forked child inherits the monkeypatched mutant,
+    # whichever share runs the checks it breaks
     module, attr, make, sha256, failing = MUTANTS[mutant]
     monkeypatch.setattr(module, attr, make(getattr(module, attr)))
-    report = run_checks(max_b=12, max_n=30, seed=0)
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+    report = run_checks(max_b=12, max_n=30, seed=0, workers=workers)
     assert [(c["name"], c["cases"]) for c in report["checks"] if not c["passed"]] == failing
     assert report["summary"]["ok"] is False
     assert report_sha256(report) == sha256
-
-
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_failing_report_bytes_pinned_under_mutant_at_workers_2(mutant, monkeypatch):
-    # the forked child inherits the monkeypatched mutant, whichever share
-    # runs the checks it breaks
-    module, attr, make, sha256, _ = MUTANTS[mutant]
-    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
-    assert report_sha256(run_checks(max_b=12, max_n=30, seed=0, workers=2)) == sha256
 
 
 @pytest.mark.parametrize("mutant", sorted(m for m in MUTANTS if MUTANTS[m][1] in ("_kernel", "_tag")))
@@ -426,8 +468,9 @@ def test_every_check_has_a_failing_golden_pin(small_report):
 
 
 def test_checks_are_rebindable_result_callables_in_report_order(timed_12_30):
-    # the benchmark times each check through verify._CHECKS; its report bytes
-    # are pinned above with the wrappers in place
+    # the benchmark times each check through verify._CHECKS at workers=1; its
+    # report bytes are pinned above with the wrappers in place, and the one
+    # share runs them in report order
     report, times = timed_12_30
     assert len(verify._CHECKS) == 21 and all(map(callable, verify._CHECKS))
     assert list(times) == [f"{c['module']}/{c['name']}" for c in report["checks"]]
