@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default="-", help="report path, - for stdout")
-    p.add_argument("--workers", type=int, default=1, help="processes at once, this one included; at most one per CPU")
+    p.add_argument("--workers", type=int, default=1, help="processes at once, this one included; at most one per CPU and at most two")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -30,7 +30,9 @@ itself and calls neither gcd nor `totient`, while the closed forms start from
 processes a run may use at once, the calling one included, and `_fan_out`
 runs one job per process, forking all but the first. `sweep_range` fans out
 shares of its moduli through them, and `verify.run_checks` shares of its
-checks.
+checks. No job that `_fan_out` forks fans out again (the battery's sweep
+check sweeps its moduli in its own share), so a run forks at most one level
+deep, and killing its children stops every process it started.
 """
 
 from __future__ import annotations
@@ -224,7 +226,9 @@ def _fan_out(jobs: list[Callable[[], object]]) -> list:
     not exist every job runs here, in order. A child's exception is raised
     here again with its type and args; a child that dies without a result
     raises RuntimeError. If this process's job or a child raises, the
-    children still running are killed and reaped first.
+    children still running are killed and reaped first. A forked job must
+    not call _fan_out with more than one job, so the children are the
+    run's only processes and that kill stops all of them.
     """
     if len(jobs) == 1 or not hasattr(os, "fork"):
         return [job() for job in jobs]

@@ -57,7 +57,6 @@ class CheckResult:
 class _Ctx:
     max_b: int
     max_n: int
-    workers: int
     rng: random.Random
     empirical: dict = field(default_factory=dict)
 
@@ -545,7 +544,7 @@ def _check_symmetric_sum(ctx: _Ctx) -> Iterator[None]:
 
 @_check("distribution", "sweep-closed-forms", "full sweeps for b <= {max_b}, b != 3")
 def _check_sweep(ctx: _Ctx) -> Iterator[None]:
-    reports = distribution.sweep_range(2, ctx.max_b, workers=ctx.workers)
+    reports = distribution.sweep_range(2, ctx.max_b)
     for rep in reports:
         yield
         if not rep.consistent:
@@ -625,24 +624,21 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     process the one share is every check, in registration order, and
     nothing forks. With two or more, this process runs the checks declared
     seeded, in order on the one stream, and one forked child runs the
-    others. The sweep check is among them, and its sweep_range gets the
-    processes this one leaves it, so the run never uses more at once than
-    _processes allows. The report lists the checks in registration order
-    either way.
+    others. The sweep check is among them and sweeps in that child alone, so
+    a run forks at most one child, one level deep, whatever workers is. The
+    report lists the checks in registration order either way.
 
     A pinned wrong variant that breaks a library self-check is reported as
     one failing pin carrying the error's message, not raised.
     """
     _check_run_args(max_b, max_n, seed, workers)
-    processes = distribution._processes(workers)
-    if processes == 1:
+    if distribution._processes(workers) == 1:
         shares = [list(range(len(_CHECKS)))]
     else:
         # only the seeded checks read the stream, and only one of them writes
         # ctx.empirical, so the child's checks leave nothing behind in ctx
         shares = [[i for i in range(len(_CHECKS)) if i in _SEEDED], [i for i in range(len(_CHECKS)) if i not in _SEEDED]]
-    # with two shares, the child's sweep check gets the processes this one leaves it
-    ctx = _Ctx(max_b=max_b, max_n=max_n, workers=processes + 1 - len(shares), rng=random.Random(seed))
+    ctx = _Ctx(max_b=max_b, max_n=max_n, rng=random.Random(seed))
     ran = distribution._fan_out([lambda share=share: [_CHECKS[i](ctx) for i in share] for share in shares])
     # back into registration order; positions are distinct, so no two results are compared
     results = [result for _, result in sorted(zip(sum(shares, []), sum(ran, [])))]

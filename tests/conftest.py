@@ -1,12 +1,14 @@
 """Shared test helpers: `run_cli`, the one way a test drives the CLI in this
-process; `run_python` and `run_cotsum` for tests of a fresh interpreter; and
-the acceptance battery, one `cotsum verify` child started at collection that
+process; `run_python` and `run_cotsum` for tests of a fresh interpreter; the
+acceptance battery, one `cotsum verify` child started at collection that
 works beside the rest of the suite and that the acceptance gate and the CLI
-contract both read."""
+contract both read; and `forked_children_reaped`, which fails a test that
+leaves a forked child unreaped."""
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import os
 import subprocess
@@ -16,7 +18,7 @@ from typing import IO
 
 import pytest
 
-from cotsum import cli
+from cotsum import cli, distribution
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -127,3 +129,28 @@ def pytest_sessionfinish(session: pytest.Session) -> None:
 def battery_child(pytestconfig: pytest.Config) -> tuple[int, bytes]:
     """(exit code, stdout) of `cotsum verify --max-b 500 --max-n 2000 --seed 42 --report -`."""
     return pytestconfig.stash[_CHILD_RUNS].wait("battery_child")
+
+
+@pytest.fixture(autouse=True)
+def forked_children_reaped(monkeypatch: pytest.MonkeyPatch):
+    """Each child that distribution._fork starts in a test is reaped by the test's end.
+
+    A bare os.fork() child left unreaped raises no ResourceWarning, so the
+    wrapper records each real child's pid and the teardown asks for each
+    one: os.waitpid(pid, WNOHANG) raises ChildProcessError only once the pid
+    has been reaped. waitpid(-1, ...) would also see the acceptance child.
+    A test that puts a stand-in for _fork in its place forks nothing here.
+    """
+    pids = []
+    fork = distribution._fork
+
+    def recording(job):
+        finish = fork(job)
+        pids.append(inspect.getclosurevars(finish).nonlocals["pid"])
+        return finish
+
+    monkeypatch.setattr(distribution, "_fork", recording)
+    yield
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)

@@ -64,7 +64,7 @@ class _NoDraws(random.Random):
 def test_checks_declared_seed_free_never_draw():
     # two processes run these away from the stream, so a wrong declaration
     # would move the report; each must pass without a single draw
-    ctx = verify._Ctx(max_b=25, max_n=60, workers=1, rng=_NoDraws(7))
+    ctx = verify._Ctx(max_b=25, max_n=60, rng=_NoDraws(7))
     free = [check for i, check in enumerate(verify._CHECKS) if i not in verify._SEEDED]
     assert len(free) == 13
     for check in free:
@@ -77,7 +77,7 @@ def test_checks_declared_seeded_draw():
     # would only keep work off the child
     assert len(verify._SEEDED) == 8
     for i in sorted(verify._SEEDED):
-        ctx = verify._Ctx(max_b=25, max_n=60, workers=1, rng=_NoDraws(7))
+        ctx = verify._Ctx(max_b=25, max_n=60, rng=_NoDraws(7))
         with pytest.raises(AssertionError, match="^drew from the stream$"):
             verify._CHECKS[i](ctx)
 
@@ -265,20 +265,24 @@ def test_report_bytes_pinned_at_workers_2(triple, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workers,cpus,forked",
+    "workers,cpus,forks",
     [
-        (1, 2, []),
-        (2, 1, []),  # one CPU: nothing forked
-        (2, 2, ["seed-free"]),
-        (4, 2, ["seed-free"]),  # the child is the second process of two, so its sweep forks nothing
-        (3, 4, ["sweep", "seed-free"]),  # the child's sweep forks the third, from the child
+        (1, 2, False),
+        (2, 1, False),  # one CPU: nothing forked
+        (2, 2, True),
+        (4, 2, True),
+        (3, 4, True),  # at most two shares: the child's sweep check forks nothing
+        (8, 8, True),
     ],
-    ids=["workers-1", "workers-2-on-1-cpu", "workers-2-on-2-cpus", "workers-4-on-2-cpus", "workers-3-on-4-cpus"],
+    ids=[
+        "workers-1", "workers-2-on-1-cpu", "workers-2-on-2-cpus", "workers-4-on-2-cpus", "workers-3-on-4-cpus",
+        "workers-8-on-8-cpus",
+    ],
 )
-def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, workers, cpus, forked):
+def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, workers, cpus, forks):
     # a stand-in for the fork step runs each child's share in this process
-    # and records the checks it ran: none for a share of the sweep check's
-    # moduli, forked while the seed-free share runs
+    # and records the checks it ran; a job it runs may not fork again, since
+    # a kill of the children would not reach a grandchild
     ran = []  # the position of every check, in the order it ran
     shares = []  # the positions run by each share handed to the fork step
 
@@ -289,10 +293,16 @@ def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, wo
 
         return run
 
+    forking = []  # the job the stand-in is running, if any
+
     def fork(job):
+        if forking:
+            pytest.fail("a forked job forked again")
+        forking.append(job)
         first = len(ran)
         results = job()
         shares.append(ran[first:])
+        forking.pop()
         return lambda kill=False: results
 
     monkeypatch.setattr(verify, "_CHECKS", tuple(logged(i, c) for i, c in enumerate(verify._CHECKS)))
@@ -303,9 +313,38 @@ def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, wo
     free = [i for i in positions if i not in verify._SEEDED]
     seeded = [i for i in positions if i in verify._SEEDED]
     assert len(free) == 13
-    assert shares == [free if share == "seed-free" else [] for share in forked]
+    assert shares == ([free] if forks else [])
     # the child's share is forked before this process runs its own
-    assert ran == (free + seeded if forked else positions)
+    assert ran == (free + seeded if forks else positions)
+
+
+def test_workers_3_run_leaves_no_process_behind_when_a_share_raises(monkeypatch, tmp_path):
+    # four CPUs, so workers=3 allows three processes. The child's sweep check
+    # marks each modulus started, sleeps and marks it done; this process's
+    # main-term check waits for the first mark and raises, which kills the
+    # child mid-sleep. A process the kill missed would mark a modulus done
+    sleep, sweep = 0.5, distribution.sweep
+
+    def slow_sweep(b):
+        (tmp_path / f"started-{b}").touch()
+        time.sleep(sleep)
+        (tmp_path / f"done-{b}").touch()
+        return sweep(b)
+
+    def refuse(n, lo, hi):
+        deadline = time.monotonic() + 30
+        while not any(tmp_path.glob("started-*")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ValueError("refused once a sweep started")
+
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(distribution, "sweep", slow_sweep)
+    monkeypatch.setattr(totient, "phi_approx", refuse)
+    with pytest.raises(ValueError, match="^refused once a sweep started$"):
+        run_checks(max_b=12, max_n=30, seed=0, workers=3)
+    time.sleep(2 * sleep)
+    assert [path.name for path in tmp_path.glob("started-*")]
+    assert [path.name for path in tmp_path.glob("done-*")] == []
 
 
 def _kernel_plus_b_above_10(kernel):
