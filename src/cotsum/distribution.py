@@ -28,11 +28,13 @@ itself and calls neither gcd nor `totient`, while the closed forms start from
 
 `workers` means one thing wherever it is taken. `_processes` decides how many
 processes a run may use at once, the calling one included, and `_fan_out`
-runs one job per process, forking all but the first. `sweep_range` fans out
-shares of its moduli through them, and `verify.run_checks` shares of its
-checks. No job that `_fan_out` forks fans out again (the battery's sweep
-check sweeps its moduli in its own share), so a run forks at most one level
-deep, and killing its children stops every process it started.
+maps a function over shares of distinct int items, one share per process,
+forking all but the first, and returns the results in item order.
+`sweep_range` deals its moduli into shares round-robin, and
+`verify.run_checks` hands it shares of check positions. No job that
+`_fan_out` forks fans out again (the battery's sweep check sweeps its moduli
+in its own share), so a run forks at most one level deep, and killing its
+children stops every process it started.
 """
 
 from __future__ import annotations
@@ -175,34 +177,15 @@ def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     sum of b - 1 over its moduli; a larger one raises ValueError up front.
 
     workers only schedules the work, and the rows are the same for every
-    value: the moduli are cut into _processes(workers) contiguous shares of
-    about equal work, or one per modulus if there are fewer, which _fan_out
-    runs, the first in this process.
+    value: the moduli are dealt round-robin into _processes(workers) shares,
+    or one per modulus if there are fewer, so share i holds every k-th
+    modulus from the i-th and the shares carry about equal work (a modulus b
+    costs about b). _fan_out runs them, the first in this process.
     """
     _check_sweep_args(b_lo, b_hi, workers)
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
-    shares = _shares(moduli, min(_processes(workers), len(moduli)))
-    swept = _fan_out([lambda share=share: [sweep(b) for b in share] for share in shares])
-    return [rep for rows in swept for rep in rows]
-
-
-def _shares(moduli: list[int], count: int) -> list[list[int]]:
-    """moduli cut into count contiguous, non-empty shares of about equal sum.
-
-    A modulus b costs about b (its b - 1 residues), so equal-count shares
-    would leave the last one the most work.
-    """
-    total, running, start, shares = sum(moduli), 0, 0, []
-    for i, b in enumerate(moduli):
-        running += b
-        later = count - len(shares) - 1  # shares still to open after this one
-        # close the share at its part of the total, or when each later share
-        # has only one modulus left
-        if later and (running * count >= (len(shares) + 1) * total or len(moduli) - i - 1 == later):
-            shares.append(moduli[start:i + 1])
-            start = i + 1
-    shares.append(moduli[start:])
-    return shares
+    k = min(_processes(workers), len(moduli))
+    return _fan_out(sweep, [moduli[i::k] for i in range(k)])
 
 
 def _processes(workers: int) -> int:
@@ -215,35 +198,41 @@ def _processes(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _fan_out(jobs: list[Callable[[], object]]) -> list:
-    """[job() for job in jobs]: jobs[0] runs in this process, each other job in a forked child.
+def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
+    """[fn(x) for x in sorted(every item of shares)], for distinct int items.
 
-    Callers pass at most one job per process that _processes allows, so a
-    single job runs here and nothing forks. Each child is made by os.fork()
-    itself, whatever the platform's default start method, so it inherits
-    this process as it is, monkeypatches included; it holds only the forking
-    thread, which is safe because cotsum starts no other. Where os.fork does
-    not exist every job runs here, in order. A child's exception is raised
-    here again with its type and args; a child that dies without a result
-    raises RuntimeError. If this process's job or a child raises, the
-    children still running are killed and reaped first. A forked job must
-    not call _fan_out with more than one job, so the children are the
-    run's only processes and that kill stops all of them.
+    shares[0] runs in this process and each other share in a forked child;
+    whichever share an item falls in, its result comes back in item order.
+    Callers pass at most one share per process that _processes allows, so a
+    single share runs here and nothing forks, and no shares give []. Each
+    child is made by os.fork() itself, whatever the platform's default start
+    method, so it inherits this process as it is, monkeypatches included; it
+    holds only the forking thread, which is safe because cotsum starts no
+    other. Where os.fork does not exist every share runs here, in order. A
+    child's exception is raised here again with its type and args; a child
+    that dies without a result raises RuntimeError. If this process's share
+    or a child raises, the children still running are killed and reaped
+    first. A forked share must not call _fan_out with more than one share,
+    so the children are the run's only processes and that kill stops all
+    of them.
     """
-    if len(jobs) == 1 or not hasattr(os, "fork"):
-        return [job() for job in jobs]
-    pending = []
-    try:
-        for job in jobs[1:]:
-            pending.append(_fork(job))
-        results = [jobs[0]()]
-        while pending:  # popped first: a finish that raises has reaped its child
-            results.append(pending.pop(0)())
-    except BaseException:
-        for finish in pending:
-            finish(kill=True)
-        raise
-    return results
+    if len(shares) <= 1 or not hasattr(os, "fork"):
+        ran = [[fn(x) for x in share] for share in shares]
+    else:
+        pending = []
+        try:
+            for share in shares[1:]:
+                # _fork runs the job in its child at once, so each child maps its own share
+                pending.append(_fork(lambda: [fn(x) for x in share]))
+            ran = [[fn(x) for x in shares[0]]]
+            while pending:  # popped first: a finish that raises has reaped its child
+                ran.append(pending.pop(0)())
+        except BaseException:
+            for finish in pending:
+                finish(kill=True)
+            raise
+    # items are distinct, so no two results are compared
+    return [result for _, result in sorted(zip(sum(shares, []), sum(ran, [])))]
 
 
 def _fork(job: Callable[[], object]) -> Callable[..., object]:

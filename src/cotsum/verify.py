@@ -618,15 +618,16 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     """Run the whole battery and return the report as a JSON-ready dict.
 
     The report depends only on (max_b, max_n, seed); workers only schedules
-    the work, never its content or ordering. The checks are cut into at most
-    two shares, one per process that distribution._processes allows, and
-    run by distribution._fan_out, the first share in this process. With one
-    process the one share is every check, in registration order, and
-    nothing forks. With two or more, this process runs the checks declared
-    seeded, in order on the one stream, and one forked child runs the
-    others. The sweep check is among them and sweeps in that child alone, so
-    a run forks at most one child, one level deep, whatever workers is. The
-    report lists the checks in registration order either way.
+    the work, never its content or ordering. The checks' positions are cut
+    into at most two shares, one per process that distribution._processes
+    allows, and distribution._fan_out runs them, the first share in this
+    process, and returns the results in position order. With one process
+    the one share is every check, in registration order, and nothing forks.
+    With two or more, this process runs the checks declared seeded, in
+    order on the one stream, and one forked child runs the others. The
+    sweep check is among them and sweeps in that child alone, so a run forks
+    at most one child, one level deep, whatever workers is. The report lists
+    the checks in registration order either way.
 
     A pinned wrong variant that breaks a library self-check is reported as
     one failing pin carrying the error's message, not raised.
@@ -639,9 +640,7 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
         # ctx.empirical, so the child's checks leave nothing behind in ctx
         shares = [[i for i in range(len(_CHECKS)) if i in _SEEDED], [i for i in range(len(_CHECKS)) if i not in _SEEDED]]
     ctx = _Ctx(max_b=max_b, max_n=max_n, rng=random.Random(seed))
-    ran = distribution._fan_out([lambda share=share: [_CHECKS[i](ctx) for i in share] for share in shares])
-    # back into registration order; positions are distinct, so no two results are compared
-    results = [result for _, result in sorted(zip(sum(shares, []), sum(ran, [])))]
+    results = distribution._fan_out(lambda i: _CHECKS[i](ctx), shares)
     try:
         discrepancies = _expected_discrepancies()
     except InvariantError as fail:  # a pinned function's own self-check broke

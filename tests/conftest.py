@@ -2,8 +2,9 @@
 process; `run_python` and `run_cotsum` for tests of a fresh interpreter; the
 acceptance battery, one `cotsum verify` child started at collection that
 works beside the rest of the suite and that the acceptance gate and the CLI
-contract both read; and `forked_children_reaped`, which fails a test that
-leaves a forked child unreaped."""
+contract both read; `forked_children_reaped`, which fails a test that
+leaves a forked child unreaped; and `fork_here`, which runs each share a
+test would fork in the test's own process."""
 
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ def forked_children_reaped(monkeypatch: pytest.MonkeyPatch):
     wrapper records each real child's pid and the teardown asks for each
     one: os.waitpid(pid, WNOHANG) raises ChildProcessError only once the pid
     has been reaped. waitpid(-1, ...) would also see the acceptance child.
-    A test that puts a stand-in for _fork in its place forks nothing here.
+    A test that uses fork_here, the stand-in for _fork, forks nothing here.
     """
     pids = []
     fork = distribution._fork
@@ -154,3 +155,31 @@ def forked_children_reaped(monkeypatch: pytest.MonkeyPatch):
     for pid in pids:
         with pytest.raises(ChildProcessError):  # no longer a child of this process
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def fork_here(monkeypatch: pytest.MonkeyPatch) -> list[list[int]]:
+    """A stand-in for distribution._fork that runs each forked share in this process.
+
+    It returns the list it fills: the items of each share handed to the fork
+    step, in the order they were forked. So no process is started however
+    large workers is, and forked_children_reaped's wrapper, which it
+    replaces, has nothing to reap. A forked job that forks again fails the
+    test, since a kill of the children would not reach a grandchild.
+    """
+    forked = []
+    forking = []  # the job the stand-in is running, if any
+
+    def fork(job):
+        if forking:
+            pytest.fail("a forked job forked again")
+        forking.append(job)
+        try:
+            results = job()
+        finally:
+            forking.pop()
+        forked.append(inspect.getclosurevars(job).nonlocals["share"])
+        return lambda kill=False: results
+
+    monkeypatch.setattr(distribution, "_fork", fork)
+    return forked

@@ -203,66 +203,78 @@ def test_sweep_range_parallel_matches_serial(monkeypatch):
         (100_000, None, 50, []),  # an unknown CPU count counts as one
     ],
 )
-def test_sweep_range_starts_at_most_one_process_per_cpu_and_modulus(monkeypatch, workers, cpus, b_hi, started):
-    # a stand-in for the fork step runs each child's share in this process
-    # and records its moduli, so no process is ever started however large
-    # workers is; started counts this process with the children it forks
+def test_sweep_range_starts_at_most_one_process_per_cpu_and_modulus(
+    monkeypatch, fork_here, workers, cpus, b_hi, started
+):
+    # fork_here runs each child's share in this process and records its
+    # moduli, so no process is ever started however large workers is;
+    # started counts this process with the children it forks
     moduli = [b for b in range(2, b_hi + 1) if b != 3]
     serial = [sweep(b) for b in moduli]
     swept = []  # every modulus, in the order it was swept
-    forked = []  # the moduli of each share handed to the fork step
 
     def logged_sweep(b):
         swept.append(b)
         return sweep(b)
 
-    def fork(job):
-        first = len(swept)
-        rows = job()
-        forked.append(swept[first:])
-        return lambda kill=False: rows
-
     monkeypatch.setattr(distribution, "sweep", logged_sweep)
-    monkeypatch.setattr(distribution, "_fork", fork)
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
     assert sweep_range(2, b_hi, workers=workers) == serial
-    assert ([1 + len(forked)] if forked else []) == started
-    # this process sweeps the first share itself, after forking the others;
-    # every share is a non-empty run of the moduli, in order
-    here = swept[sum(map(len, forked)):]
-    shares = [here, *forked]
-    assert all(shares) and [b for share in shares for b in share] == moduli
+    assert ([1 + len(fork_here)] if fork_here else []) == started
+    # the moduli are dealt round-robin: share i is moduli[i::k]. This
+    # process sweeps share 0 itself, after forking the others
+    k = 1 + len(fork_here)
+    assert fork_here == [moduli[i::k] for i in range(1, k)]
+    assert swept == [b for share in fork_here for b in share] + moduli[::k]
 
 
-def test_shares_are_contiguous_with_about_equal_work():
-    # a modulus costs about b, so shares balance the sum of b, not the count
-    moduli = [b for b in range(2, 1501) if b != 3]
-    for count in (2, 3, 7):
-        shares = distribution._shares(moduli, count)
-        assert len(shares) == count and [b for share in shares for b in share] == moduli
-        sums = [sum(share) for share in shares]
-        assert max(sums) - min(sums) <= 2 * max(moduli), (count, sums)
-    # a heavy modulus cannot empty the shares after it
-    assert distribution._shares([2, 4, 1000], 3) == [[2], [4], [1000]]
-    assert distribution._shares([1000, 2, 4], 3) == [[1000], [2], [4]]
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_round_robin_shares_carry_about_equal_work(monkeypatch, fork_here, k):
+    # a modulus costs about b, so the shares' sums of b differ by at most
+    # the largest modulus; a stand-in sweep keeps the run cheap
+    swept = []
+    monkeypatch.setattr(distribution, "sweep", swept.append)
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: k)
+    sweep_range(2, 1500, workers=k)
+    here = swept[sum(map(len, fork_here)):]
+    sums = [sum(share) for share in [here, *fork_here]]
+    assert len(sums) == k and max(sums) - min(sums) <= 1500, sums
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_range_of_no_modulus_is_empty_at_any_workers(monkeypatch, workers):
+    # 3 is the only modulus in [3, 3] and is skipped, so there are no shares
+    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+    assert sweep_range(3, 3, workers=workers) == []
 
 
 # ---------------------------------------------------------------- fan-out
 
 
-def _raise(exc):
-    def job():
-        raise exc
+def _raise_at(item, exc):
+    def fn(x):
+        if x == item:
+            raise exc
+        return x
 
-    return job
+    return fn
 
 
 def test_fan_out_runs_the_first_job_here_and_the_others_in_children():
     # a result larger than the 64 KiB pipe buffer must not stall the read
     big = bytes(range(256)) * 4096
-    pids = distribution._fan_out([os.getpid, os.getpid, lambda: big])
-    assert pids[0] == os.getpid() and os.getpid() != pids[1]
-    assert pids[2] == big
+    results = distribution._fan_out(lambda x: big if x == 2 else os.getpid(), [[0], [1], [2]])
+    assert results[0] == os.getpid() and os.getpid() != results[1]
+    assert results[2] == big
+
+
+def test_fan_out_returns_results_in_item_order_across_interleaved_shares():
+    # share 0 runs here and share 1 in a child; concatenating the shares'
+    # results would give the items as 0, 2, 4, 1, 3
+    here = os.getpid()
+    results = distribution._fan_out(lambda x: (x, os.getpid()), [[0, 2, 4], [1, 3]])
+    assert [x for x, _ in results] == [0, 1, 2, 3, 4]
+    assert [pid == here for _, pid in results] == [True, False, True, False, True]
 
 
 @pytest.mark.parametrize(
@@ -270,25 +282,27 @@ def test_fan_out_runs_the_first_job_here_and_the_others_in_children():
 )
 def test_fan_out_raises_a_childs_error_with_its_type_and_args(exc):
     with pytest.raises(type(exc)) as info:
-        distribution._fan_out([lambda: 1, _raise(exc)])
+        distribution._fan_out(_raise_at(1, exc), [[0], [1]])
     assert type(info.value) is type(exc) and info.value.args == exc.args
 
 
 def test_fan_out_child_that_dies_without_a_result_is_a_runtime_error():
     # os._exit(3) leaves the pipe empty; 768 is the wait status of exit code 3
     with pytest.raises(RuntimeError, match=r"^a forked share ended without a result \(wait status 768\)$"):
-        distribution._fan_out([lambda: 1, lambda: os._exit(3)])
+        distribution._fan_out(lambda x: os._exit(3) if x else 1, [[0], [1]])
 
 
 _PARENT_RAISES = """
 import os, time
 from cotsum import distribution
 
-def parent_share():
-    raise KeyError("this process's share")
+def share(x):
+    if x == 0:
+        raise KeyError("this process's share")
+    time.sleep(60)
 
 try:
-    distribution._fan_out([parent_share, lambda: time.sleep(60), lambda: time.sleep(60)])
+    distribution._fan_out(share, [[0], [1], [2]])
 except KeyError as exc:
     print("raised", exc)
 try:
@@ -308,7 +322,7 @@ def test_fan_out_kills_and_reaps_its_children_when_this_process_share_raises():
 def test_without_os_fork_every_share_runs_here(monkeypatch):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
-    assert distribution._fan_out([os.getpid, os.getpid]) == [os.getpid()] * 2
+    assert distribution._fan_out(lambda x: (x, os.getpid()), [[0, 2], [1]]) == [(x, os.getpid()) for x in range(3)]
     assert sweep_range(2, 60, workers=2) == sweep_range(2, 60)
 
 

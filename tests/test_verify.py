@@ -279,12 +279,10 @@ def test_report_bytes_pinned_at_workers_2(triple, monkeypatch):
         "workers-8-on-8-cpus",
     ],
 )
-def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, workers, cpus, forks):
-    # a stand-in for the fork step runs each child's share in this process
-    # and records the checks it ran; a job it runs may not fork again, since
-    # a kill of the children would not reach a grandchild
+def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, fork_here, workers, cpus, forks):
+    # fork_here runs each child's share in this process and records its
+    # check positions, and fails the test if a job it runs forks again
     ran = []  # the position of every check, in the order it ran
-    shares = []  # the positions run by each share handed to the fork step
 
     def logged(i, check):
         def run(ctx):
@@ -293,27 +291,14 @@ def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, wo
 
         return run
 
-    forking = []  # the job the stand-in is running, if any
-
-    def fork(job):
-        if forking:
-            pytest.fail("a forked job forked again")
-        forking.append(job)
-        first = len(ran)
-        results = job()
-        shares.append(ran[first:])
-        forking.pop()
-        return lambda kill=False: results
-
     monkeypatch.setattr(verify, "_CHECKS", tuple(logged(i, c) for i, c in enumerate(verify._CHECKS)))
-    monkeypatch.setattr(distribution, "_fork", fork)
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
     assert report_sha256(run_checks(max_b=12, max_n=30, seed=0, workers=workers)) == REPORT_SHA256[12, 30, 0]
     positions = list(range(len(verify._CHECKS)))
     free = [i for i in positions if i not in verify._SEEDED]
     seeded = [i for i in positions if i in verify._SEEDED]
     assert len(free) == 13
-    assert shares == ([free] if forks else [])
+    assert fork_here == ([free] if forks else [])
     # the child's share is forked before this process runs its own
     assert ran == (free + seeded if forks else positions)
 
