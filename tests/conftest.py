@@ -4,7 +4,14 @@ acceptance battery, one `cotsum verify` child started at collection that
 works beside the rest of the suite and that the acceptance gate and the CLI
 contract both read; `forked_children_reaped`, which fails a test that
 leaves a forked child unreaped; and `fork_here`, which runs each share a
-test would fork in the test's own process."""
+test would fork in the test's own process.
+
+`forked_children_reaped` is one half of the suite's leak rule. The other is
+pyproject.toml's `filterwarnings`, which makes a ResourceWarning an error, and
+so fails every test that drops an open file object (a pipe's, say) or a
+`subprocess.Popen` still running: pytest reports the error raised in its
+finalizer as a PytestUnraisableExceptionWarning, an error too. A bare
+`os.fork()` child warns nothing, hence the fixture."""
 
 from __future__ import annotations
 

@@ -4,7 +4,8 @@
 golden net's mutant that `mutant` names, by its id in tests/test_verify.py's
 `MUTANTS` (this file keeps no mutant table of its own), runs the argv through
 the tests' one CLI runner, `conftest.run_cli`
-(`cli.main` in this process), and returns its exit code and the sha256 of
+(`cli.main` in this process), with `os.cpu_count` reading 2 so that
+`--workers 2` forks on any host, and returns its exit code and the sha256 of
 what it wrote to stdout. tests/cli_pins.json holds those pairs for every
 entry, and tests/test_cli_pins.py replays them.
 
@@ -26,6 +27,7 @@ from unittest import mock
 from conftest import run_cli
 from test_verify import MUTANTS
 
+from cotsum import distribution
 from cotsum.numeric import _FLOAT_MAX_B, _TABLE_MAX_B
 from cotsum.totient import _FACTOR_MAX, _SCAN_MAX
 
@@ -33,12 +35,12 @@ PINS_PATH = pathlib.Path(__file__).with_name("cli_pins.json")
 
 
 def run(argv: list[str], mutant: str | None = None) -> tuple[int, str]:
-    """(exit code, stdout sha256) of run_cli(*argv), under `mutant` if it names one."""
+    """(exit code, stdout sha256) of run_cli(*argv) on two CPUs, under `mutant` if it names one."""
     patch = contextlib.nullcontext()
     if mutant is not None:
         module, attr, make = MUTANTS[mutant][:3]
         patch = mock.patch.object(module, attr, make(getattr(module, attr)))
-    with patch:
+    with mock.patch.object(distribution.os, "cpu_count", lambda: 2), patch:
         code, out, _ = run_cli(*argv)
     return code, hashlib.sha256(out.encode()).hexdigest()
 

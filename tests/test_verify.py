@@ -47,13 +47,6 @@ def test_report_is_json_ready_and_deterministic(small_report):
     assert json.loads(blob) == small_report
 
 
-def test_workers_do_not_change_the_report(small_report, monkeypatch):
-    # two CPUs, so the seed-free checks run in a forked child on any host
-    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
-    parallel = run_checks(max_b=25, max_n=60, seed=7, workers=2)
-    assert parallel == small_report
-
-
 class _NoDraws(random.Random):
     """A stream that refuses every draw the battery makes (`_randint` reads getrandbits)."""
 
