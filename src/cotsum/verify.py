@@ -7,13 +7,14 @@ seed): all randomness comes from one `random.Random(seed)` consumed in check
 order (each draw as its `randint` would make it, see `_randint`), and nothing
 time- or host-dependent is recorded.
 
-A check is a generator over the run's `_Ctx`, registered in `_CHECKS` by
+A check is a generator over the run's `_Ctx` that yields once per case and
+raises `_Failed(detail, **counterexample)` at its first failure.
 `@_check(module, name, pass detail)`, with `seeded=True` if it draws from
-`ctx.rng`: it yields once per case and raises
-`_Failed(detail, **counterexample)` at its first failure, and its runner
-counts the yields into a `CheckResult`. Registration order is report order.
-`_Failed` is an `InvariantError`, as is a library result's failed self-check,
-and the runner makes either a failing `CheckResult`; any other error ends the run.
+`ctx.rng`, appends one `_Check` record of it to `_CHECKS`, and calling that
+record runs the check: it counts the yields into a `CheckResult`.
+Registration order is report order. `_Failed` is an `InvariantError`, as is a
+library result's failed self-check, and the record makes either a failing
+`CheckResult`; any other error ends the run.
 
 Beyond pass/fail checks the report carries two more sections:
 
@@ -94,33 +95,43 @@ class _Failed(InvariantError):
         super().__init__(detail, {k: _safe(v) for k, v in ce.items()})
 
 
-_CHECKS: list[Callable[[_Ctx], CheckResult]] = []
-# The positions in _CHECKS of the checks that draw from ctx.rng. They are
-# kept apart from the runners because the benchmark rebinds _CHECKS to
-# timing wrappers, which would drop an attribute set on a runner.
-_SEEDED: set[int] = set()
+@dataclass(frozen=True)
+class _Check:
+    """One check of the battery; calling it on a ctx runs it into a CheckResult.
+
+    detail is the pass detail, {max_b} in it read from ctx. seeded declares
+    that gen draws from ctx.rng; tests/test_verify.py runs every other check
+    with a stream that refuses to be drawn from.
+    """
+
+    module: str
+    name: str
+    detail: str
+    gen: Callable[[_Ctx], Iterator[None]]
+    seeded: bool
+
+    def __call__(self, ctx: _Ctx) -> CheckResult:
+        cases = 0
+        try:
+            for _ in self.gen(ctx):
+                cases += 1
+        except InvariantError as fail:  # a library one's only arg is its message
+            return CheckResult(self.module, self.name, False, cases, *fail.args)
+        return CheckResult(self.module, self.name, True, cases, self.detail.format(max_b=ctx.max_b))
+
+
+# run_checks calls each entry as entry(ctx) and reads .seeded only when it
+# cuts two shares, so a plain callable may stand in for a record at
+# workers=1: bench/child.py rebinds _CHECKS to timing functions, and
+# _expected_discrepancies to a timing wrapper, and runs the battery there.
+_CHECKS: list[_Check] = []
 
 
 def _check(module: str, name: str, detail: str, seeded: bool = False):
-    """Append a runner of the check below to _CHECKS; {max_b} in detail reads ctx.
-
-    seeded declares that the check draws from ctx.rng; tests/test_verify.py
-    runs every other check with a stream that refuses to be drawn from.
-    """
+    """Append a _Check of the generator below to _CHECKS and return the generator."""
 
     def register(gen: Callable[[_Ctx], Iterator[None]]):
-        def run(ctx: _Ctx) -> CheckResult:
-            cases = 0
-            try:
-                for _ in gen(ctx):
-                    cases += 1
-            except InvariantError as fail:  # a library one's only arg is its message
-                return CheckResult(module, name, False, cases, *fail.args)
-            return CheckResult(module, name, True, cases, detail.format(max_b=ctx.max_b))
-
-        if seeded:
-            _SEEDED.add(len(_CHECKS))
-        _CHECKS.append(run)
+        _CHECKS.append(_Check(module, name, detail, gen, seeded))
         return gen
 
     return register
@@ -638,7 +649,7 @@ def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int =
     else:
         # only the seeded checks read the stream, and only one of them writes
         # ctx.empirical, so the child's checks leave nothing behind in ctx
-        shares = [[i for i in range(len(_CHECKS)) if i in _SEEDED], [i for i in range(len(_CHECKS)) if i not in _SEEDED]]
+        shares = [[i for i, check in enumerate(_CHECKS) if check.seeded], [i for i, check in enumerate(_CHECKS) if not check.seeded]]
     ctx = _Ctx(max_b=max_b, max_n=max_n, rng=random.Random(seed))
     results = distribution._fan_out(lambda i: _CHECKS[i](ctx), shares)
     try:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from test_verify import MUTANTS, _unreachable
 
 from cotsum import cli, core, distribution, totient, verify
+from cotsum.errors import PreconditionError
 from cotsum.numeric import _FLOAT_MAX_B
 from cotsum.totient import _ENDPOINT_DIGITS_MAX, _FACTOR_MAX, _SCAN_MAX
 
@@ -287,6 +288,16 @@ def test_verify_writes_its_report_when_a_pinned_variant_breaks_a_self_check(monk
     }]
     assert report["summary"]["expected_discrepancies_pinned"] is False and report["summary"]["ok"] is False
     assert err.endswith("[FAIL] pinned/expected-discrepancies\n")
+
+
+def test_a_violated_precondition_below_main_exits_3_with_no_record(monkeypatch):
+    # classify and totient catch the error to write their record; any other
+    # command leaves it to main, which maps it like the others
+    def refuse(n, a, b):
+        raise PreconditionError("stand-in")
+
+    monkeypatch.setattr(core, "eval_exact", refuse)
+    assert run_cli("eval", "-n", "1", "-a", "1", "-b", "4", "--mode", "exact") == (3, "", "precondition violated: stand-in\n")
 
 
 # --- the process boundary ----------------------------------------------------

@@ -20,6 +20,7 @@ from cotsum.totient import (
     _SIEVE_MAX,
     ArithmeticProfile,
     PhiApproximation,
+    PhiDecomposition,
     RangeBound,
     arithmetic_profile,
     coprime_sum,
@@ -129,6 +130,15 @@ def test_profile_type_validates():
     with pytest.raises(InvariantError):
         ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=2, mobius=1,
                           euler_phi=3, squarefree_divisors=((1, 1), (2, -1), (3, -1), (6, 1)))
+    with pytest.raises(InvariantError, match="^omega disagrees with the factor list$"):
+        ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=1, mobius=-1,
+                          euler_phi=2, squarefree_divisors=((1, 1), (2, -1), (3, -1), (6, 1)))
+    with pytest.raises(InvariantError, match=r"^squarefree divisor count must be 2\^omega$"):
+        ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=2, mobius=1,
+                          euler_phi=2, squarefree_divisors=((1, 1), (2, -1), (3, -1)))
+    with pytest.raises(InvariantError, match="^mu does not sum to the n=1 indicator over divisors$"):
+        ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=2, mobius=1,
+                          euler_phi=2, squarefree_divisors=((1, 1), (2, -1), (3, -1), (6, -1)))
 
 
 # --- range bounds -----------------------------------------------------------
@@ -291,6 +301,8 @@ def test_decomposition_worked_example():
     assert (d.prefix_hi, d.prefix_lo, d.endpoint) == (6, 2, 1)
     assert d.combined == 5
     assert d.combined == phi_range_mobius(12, RangeBound(5, 17))
+    with pytest.raises(InvariantError, match="^endpoint indicator must be 0 or 1, got 2$"):
+        PhiDecomposition(12, 5, 17, 6, 2, endpoint=2)
 
 
 def test_decomposition_matches_range_count():

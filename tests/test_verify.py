@@ -54,25 +54,21 @@ class _NoDraws(random.Random):
         raise AssertionError("drew from the stream")
 
 
-def test_checks_declared_seed_free_never_draw():
-    # two processes run these away from the stream, so a wrong declaration
-    # would move the report; each must pass without a single draw
-    ctx = verify._Ctx(max_b=25, max_n=60, rng=_NoDraws(7))
-    free = [check for i, check in enumerate(verify._CHECKS) if i not in verify._SEEDED]
-    assert len(free) == 13
-    for check in free:
-        result = check(ctx)
-        assert result.passed and result.cases > 0, result
-
-
-def test_checks_declared_seeded_draw():
-    # and the other way round: a check declared seeded but drawing nothing
-    # would only keep work off the child
-    assert len(verify._SEEDED) == 8
-    for i in sorted(verify._SEEDED):
+def test_checks_declared_seeded_draw_and_no_other_check_does():
+    # two processes run the seed-free checks away from the stream, so a wrong
+    # declaration would move the report: each must pass without a single
+    # draw. And the other way round: a check declared seeded but drawing
+    # nothing would only keep work off the child
+    seeded = [check.seeded for check in verify._CHECKS]
+    assert (seeded.count(False), seeded.count(True)) == (13, 8)
+    for check in verify._CHECKS:
         ctx = verify._Ctx(max_b=25, max_n=60, rng=_NoDraws(7))
-        with pytest.raises(AssertionError, match="^drew from the stream$"):
-            verify._CHECKS[i](ctx)
+        if check.seeded:
+            with pytest.raises(AssertionError, match="^drew from the stream$"):
+                check(ctx)
+        else:
+            result = check(ctx)
+            assert result.passed and result.cases > 0, result
 
 
 def test_pinned_discrepancies(small_report):
@@ -209,24 +205,27 @@ def report_sha256(report: dict) -> str:
 
 @pytest.fixture(scope="module")
 def timed_12_30():
-    """(report, times) of run_checks(12, 30, 0) with verify._CHECKS rebound to
-    timing wrappers keyed on each result's module/name, as the benchmark
-    rebinds it; the report must come out as it does unwrapped."""
-    times: dict[str, float] = {}
+    """(report, timed) of run_checks(12, 30, 0) with verify._CHECKS and
+    verify._expected_discrepancies rebound to timing wrappers, as the
+    benchmark rebinds them. timed lists (key, seconds) in the order the
+    wrappers returned: a check keyed on its result's module/name, the pins on
+    "pins". The report must come out as it does unwrapped."""
+    timed: list[tuple[str, float]] = []
 
-    def timed(check):
+    def timing(fn, key):
         def wrapper(*args):
             start = time.perf_counter()
-            result = check(*args)
-            times[f"{result.module}/{result.name}"] = time.perf_counter() - start
+            result = fn(*args)
+            timed.append((key(result), time.perf_counter() - start))
             return result
 
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_CHECKS", tuple(timed(c) for c in verify._CHECKS))
+        mp.setattr(verify, "_CHECKS", tuple(timing(c, lambda r: f"{r.module}/{r.name}") for c in verify._CHECKS))
+        mp.setattr(verify, "_expected_discrepancies", timing(verify._expected_discrepancies, lambda r: "pins"))
         report = run_checks(max_b=12, max_n=30, seed=0)
-    return report, times
+    return report, timed
 
 
 # sha256 of the report bytes at each small (max_b, max_n, seed) triple, at
@@ -277,19 +276,20 @@ def test_run_checks_starts_at_most_one_process_per_cpu_and_share(monkeypatch, fo
     # check positions, and fails the test if a job it runs forks again
     ran = []  # the position of every check, in the order it ran
 
-    def logged(i, check):
+    def logged(i, gen):
         def run(ctx):
             ran.append(i)
-            return check(ctx)
+            return gen(ctx)
 
         return run
 
-    monkeypatch.setattr(verify, "_CHECKS", tuple(logged(i, c) for i, c in enumerate(verify._CHECKS)))
+    # each record keeps its seeded flag, which cuts the shares
+    monkeypatch.setattr(verify, "_CHECKS", tuple(replace(c, gen=logged(i, c.gen)) for i, c in enumerate(verify._CHECKS)))
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
     assert report_sha256(run_checks(max_b=12, max_n=30, seed=0, workers=workers)) == REPORT_SHA256[12, 30, 0]
     positions = list(range(len(verify._CHECKS)))
-    free = [i for i in positions if i not in verify._SEEDED]
-    seeded = [i for i in positions if i in verify._SEEDED]
+    free = [i for i in positions if not verify._CHECKS[i].seeded]
+    seeded = [i for i in positions if verify._CHECKS[i].seeded]
     assert len(free) == 13
     assert fork_here == ([free] if forks else [])
     # the child's share is forked before this process runs its own
@@ -485,9 +485,123 @@ def test_every_check_has_a_failing_golden_pin(small_report):
 
 
 def test_checks_are_rebindable_result_callables_in_report_order(timed_12_30):
-    # the benchmark times each check through verify._CHECKS at workers=1; its
-    # report bytes are pinned above with the wrappers in place, and the one
-    # share runs them in report order
-    report, times = timed_12_30
+    # the benchmark times each check through verify._CHECKS at workers=1, and
+    # the pins through verify._expected_discrepancies; its report bytes are
+    # pinned above with the wrappers in place, the one share runs the checks
+    # in report order, and the pins run once, after them
+    report, timed = timed_12_30
     assert len(verify._CHECKS) == 21 and all(map(callable, verify._CHECKS))
-    assert list(times) == [f"{c['module']}/{c['name']}" for c in report["checks"]]
+    assert [key for key, _ in timed] == [f"{c['module']}/{c['name']}" for c in report["checks"]] + ["pins"]
+
+
+# ---------------------------------------------------------------- failure branches
+# One fault for each failure branch that no mutant above reaches. Its check
+# runs alone at (12, 30) on Random(0), and the whole failing result is pinned.
+
+
+def _plus(extra):
+    # the original's value plus extra(*its arguments)
+    return lambda original: lambda *args: original(*args) + extra(*args)
+
+
+def _moved(at, **fields):
+    # the original's result at the arguments `at`, each named field set to
+    # fields[name](that result); every other call is left alone
+    def make(original):
+        def mutant(*args):
+            result = original(*args)
+            return replace(result, **{k: f(result) for k, f in fields.items()}) if args == at else result
+
+        return mutant
+
+    return make
+
+
+def _empty_span(n, bounds):
+    lo, hi = bounds.integer_span()
+    return lo > hi
+
+
+# id: (check name, [(module, attribute, mutant of the original)], detail,
+# cases, counterexample)
+FAILURE_BRANCHES = {
+    "shift-rule-literal-sweep": (
+        "shift-rule-vs-direct-reduction", [(exact, "shifted_frac_part", _plus(lambda n, a, b, k: n > 1))],
+        "shift rule broke", 1406, {"b": 2, "n": 2, "a": 1, "k": 0, "got": "1", "want": "0"},
+    ),
+    "unit-shift-two-below-a-multiple": (
+        "unit-shift-rules", [(exact, "frac_part", _plus(lambda n, a, b: 1))],
+        "two-below-a-multiple rule broke", 2, {"b": 2, "a": 4},
+    ),
+    "trichotomy-two-predicates": (
+        "trichotomy-and-predicates", [(core, "predicate_plus", lambda original: lambda a, b: True)],
+        "predicates must pick exactly one class", 1, {"a": 1, "b": 2, "preds": [True, True, False]},
+    ),
+    "float-oracle-abs-bound": (
+        "float-oracle-agreement", [(numeric, "eval_float", _moved((1, 1, 2), abs_bound=lambda r: 0.0))],
+        "reported abs_bound below the value", 1,
+        {"n": 1, "a": 1, "b": 2, "float_value": 1.1246397028449712e-64, "abs_bound": 0.0},
+    ),
+    "profile-mu-zero": (
+        "profile-invariants",
+        [(totient, "arithmetic_profile", _moved((6,), squarefree_divisors=lambda r: ((1, 1), (2, 0), (3, 0), (6, -1))))],
+        "squarefree divisors must all carry mu = +-1", 6, {"n": 6},
+    ),
+    "prefix-two-sided": (
+        "prefix-exhaustive-agreement", [(totient, "phi_range_mobius", _plus(lambda n, bounds: bounds.lo > 1))],
+        "two-sided count must telescope from prefixes", 4, {"n": 1, "lo": 2, "hi": 3},
+    ),
+    "random-rational-empty-span": (
+        "random-rational-agreement",
+        [(totient, "phi_range_mobius", _plus(_empty_span)), (totient, "phi_range_direct", _plus(_empty_span))],
+        "empty span must count 0", 406, {"n": 2, "lo": "7/3", "hi": "7/3"},
+    ),
+    "random-rational-wide-range": (
+        "random-rational-agreement", [(totient, "legendre_phi", _plus(lambda n, x: x > 3 * n))],
+        "wide range disagrees with prefix difference", 201, {"n": 1, "lo": "2", "hi": "25/6"},
+    ),
+    "decomposition-frozen-instance": (
+        "prefix-decomposition", [(totient, "phi_decomposition", _moved((12, 5, 17), prefix_hi=lambda r: r.prefix_hi + 1))],
+        "frozen worked instance moved", 1, {"got": [7, 2, 1, 6]},
+    ),
+    "partition-total": (
+        "gcd-partition-telescopes", [(totient, "divisor_partition_identity", _plus(lambda n, lo, hi: 1))],
+        "partition total moved", 1, {"n": 1, "lo": 2, "hi": 5, "got": 5},
+    ),
+    "symmetric-paired-sum": (
+        "symmetric-coprime-sum", [(verify, "gcd", lambda original: lambda n, k: 1 if 2 * k < n else original(n, k))],
+        "paired sum identity broke", 13, {"n": 6, "lo": 1, "hi": 5, "total": 8, "count": 3},
+    ),
+    "sweep-partition": (
+        "sweep-closed-forms", [(totient, "euler_phi", _plus(lambda n: 1))],
+        "counts must partition the coprime residues", 1, {"b": 2, "phi": 2},
+    ),
+    "sweep-sign-symmetry": (
+        "sweep-closed-forms",
+        [(distribution, "sweep", _moved(
+            (5,),
+            count_plus=lambda r: r.count_plus + 1, closed_plus=lambda r: r.closed_plus + 1,
+            count_minus=lambda r: r.count_minus - 1, closed_minus=lambda r: r.closed_minus - 1,
+        ))],
+        "sign symmetry a <-> b-a broke", 3, {"b": 5},
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", list(FAILURE_BRANCHES))
+def test_failure_branch_reports_its_detail_and_counterexample(branch, monkeypatch):
+    name, faults, detail, cases, counterexample = FAILURE_BRANCHES[branch]
+    for module, attr, make in faults:
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    check = {c.name: c for c in verify._CHECKS}[name]
+    result = check(verify._Ctx(12, 30, random.Random(0)))
+    assert result == verify.CheckResult(check.module, name, False, cases, detail, counterexample)
+
+
+def test_half_open_variant_wrong_above_n_1_breaks_its_pin(monkeypatch):
+    half_open = totient.phi_range_mobius_half_open
+    monkeypatch.setattr(totient, "phi_range_mobius_half_open", _plus(lambda n, bounds: n == 5)(half_open))
+    rec = verify._expected_discrepancies()[0]
+    assert rec["name"] == "mobius-half-open-undercount"
+    assert rec["observed"] == {"variant": 4, "corrected": 5, "agrees_for_n_above_1": False}
+    assert rec["matches_pin"] is False
