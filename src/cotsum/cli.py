@@ -244,7 +244,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

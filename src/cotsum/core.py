@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, check_operands
 from .exact import _boundary_value
 
 __all__ = [
@@ -149,9 +149,7 @@ def _tag(num: int, den: int, b: int) -> int:
 
 def eval_exact(n: int, a: int, b: int) -> Fraction:
     """S(n, a, b) as an exact rational, by the fractional-part case split."""
-    check_int("n", n, 1)
-    check_int("a", a, 1)
-    check_int("modulus b", b, 2)
+    check_operands(n, a, b)
     return Fraction(*_kernel(n * a, b))
 
 
@@ -162,8 +160,7 @@ def classify(a: int, b: int, strict: bool = False) -> CotSumValue:
     that the tag Other can occur (e.g. a=1, b=3 gives 3/4). strict=True
     rejects such inputs up front with PreconditionError instead.
     """
-    check_int("a", a, 1)
-    check_int("modulus b", b, 2)
+    check_operands(1, a, b)
     if strict:
         if b == 3:
             raise PreconditionError("b = 3 admits values outside {0, +b/2, -b/2}")
@@ -182,8 +179,7 @@ def master_witness(a: int, b: int) -> MasterWitness:
     The returned s always equals eval_exact(1, a, b); the dataclass re-checks
     the balance on construction.
     """
-    check_int("a", a, 1)
-    check_int("modulus b", b, 2)
+    check_operands(1, a, b)
     if (3 * a) % b == 0:
         raise PreconditionError(f"no witness k: {b} divides 3*{a}")
     k = (-3 * a - 1) % b  # lands in [0, b-2] exactly because b does not divide 3a
@@ -194,8 +190,7 @@ def master_witness(a: int, b: int) -> MasterWitness:
 
 
 def _check_reduced_coprime(a: int, b: int) -> None:
-    check_int("a", a, 1)
-    check_int("modulus b", b, 2)
+    check_operands(1, a, b)
     if b == 3:
         raise PreconditionError("the three-way predicates exclude b = 3")
     if a >= b:

@@ -222,8 +222,7 @@ def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
         pending = []
         try:
             for share in shares[1:]:
-                # _fork runs the job in its child at once, so each child maps its own share
-                pending.append(_fork(lambda: [fn(x) for x in share]))
+                pending.append(_fork(fn, share))
             ran = [[fn(x) for x in shares[0]]]
             while pending:  # popped first: a finish that raises has reaped its child
                 ran.append(pending.pop(0)())
@@ -235,10 +234,10 @@ def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
     return [result for _, result in sorted(zip(sum(shares, []), sum(ran, [])))]
 
 
-def _fork(job: Callable[[], object]) -> Callable[..., object]:
-    """Start job() in an os.fork() child and return `finish`, which waits for its result.
+def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object]:
+    """Map fn over share in an os.fork() child and return `finish`, which waits for the list.
 
-    The child pickles (True, result) or (False, exception) into a pipe and
+    The child pickles (True, results) or (False, exception) into a pipe and
     leaves through os._exit, so it never returns into its caller. finish()
     reads the pipe to EOF before it reaps the child, since a result may
     outgrow the pipe's buffer; finish(kill=True) kills and reaps it instead.
@@ -258,7 +257,7 @@ def _fork(job: Callable[[], object]) -> Callable[..., object]:
         try:
             os.close(read)
             try:
-                reply = (True, job())
+                reply = (True, [fn(x) for x in share])
             except BaseException as exc:
                 reply = (False, exc)
             data = pickle.dumps(reply)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, check_int
+from .errors import InvariantError, check_int, check_operands
 
 __all__ = [
     "BoundaryCount",
@@ -29,9 +29,7 @@ __all__ = [
 
 def _check_window(n: int, a: int, b: int, k: int) -> None:
     """The argument checks of a window (n*a, n*a + k] modulo b."""
-    check_int("n", n, 1)
-    check_int("a", a, 1)
-    check_int("modulus b", b, 2)
+    check_operands(n, a, b)
     check_int("window length k", k, 0)
 
 
@@ -63,9 +61,7 @@ class BoundaryCount:
 
 def frac_part(n: int, a: int, b: int) -> Fraction:
     """Fractional part {n*a/b} as an exact Fraction in [0, 1)."""
-    check_int("n", n, 1)
-    check_int("a", a, 1)
-    check_int("modulus b", b, 2)
+    check_operands(n, a, b)
     return Fraction(n * a % b, b)
 
 

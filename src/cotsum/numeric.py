@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvariantError, PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, check_int, check_operands
 
 __all__ = [
     "NumericResult",
@@ -148,15 +148,18 @@ def _tables(b: int, kind: str) -> list[float]:
     return list(_terms(b, kind, range(b), cot=False))
 
 
-def _check_sum_modulus(b: int) -> None:
-    check_int("modulus b", b, 2)
+def _check_sum(n: int, a: int, b: int) -> None:
+    """The checks of a public sum: S's operand rule, then the modulus ceiling."""
+    check_operands(n, a, b)
     if b > _FLOAT_MAX_B:
         raise ValueError(f"a float sum takes modulus b <= {_FLOAT_MAX_B}, got {b}")
 
 
 def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
-    """Correctly rounded sum of cot(pi*m/b) times the `kind` factor at m*na mod b, m in [1, b-1]."""
-    _check_sum_modulus(b)
+    """Correctly rounded sum of cot(pi*m/b) times the `kind` factor at m*na mod b, m in [1, b-1].
+
+    Unchecked: each public sum runs _check_sum first.
+    """
     r = na % b
     if b <= _TABLE_MAX_B:
         cot = _tables(b, "cot")
@@ -174,8 +177,7 @@ def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
 
 def eval_float(n: int, a: int, b: int) -> NumericResult:
     """Brute-force S(n, a, b): sum of cot(pi*m/b) * sin(2*pi*m*n*a/b)**3."""
-    check_int("n", n, 1)
-    check_int("a", a, 1)
+    _check_sum(n, a, b)
     return _cot_sum(b, "sin3", n * a)
 
 
@@ -185,8 +187,7 @@ def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
     The m -> b-m flip negates the cotangent and fixes the squared sine, so
     terms cancel in pairs. Returned unsimplified as a cancellation probe.
     """
-    check_int("n", n, 1)
-    check_int("a", a, 1)
+    _check_sum(n, a, b)
     return _cot_sum(b, "sin2", n * a)
 
 
@@ -196,8 +197,7 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
     Same pairing as cot_sin2_sum: cosine is even under m -> b-m, cotangent odd.
     """
     check_int("q", q, 1)
-    check_int("n", n, 1)
-    check_int("a", a, 1)
+    _check_sum(n, a, b)
     return _cot_sum(b, f"cos{q}", n * a)
 
 
@@ -208,9 +208,7 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     j = n*a mod b, which needs b to not divide n*a. Compare against
     frac_part(n, a, b) within tol(b).
     """
-    check_int("n", n, 1)
-    check_int("a", a, 1)
-    _check_sum_modulus(b)  # the limit comes before the precondition
+    _check_sum(n, a, b)  # the limit comes before the precondition
     r = n * a % b
     if r == 0:
         raise PreconditionError(f"{b} divides {n}*{a}; the sine sum degenerates")

@@ -302,15 +302,15 @@ class RangeBound:
         return -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
 
 
-def _check_positive_range(bounds: RangeBound) -> None:
+def _check_positive_range(n: int, bounds: RangeBound) -> None:
+    check_int("n", n, 1)
     if bounds.lo.numerator <= 0:
         raise ValueError(f"range must sit inside the positive reals, got lo = {bounds.lo}")
 
 
 def phi_range_direct(n: int, bounds: RangeBound) -> int:
     """gcd scan over every integer in the range."""
-    check_int("n", n, 1)
-    _check_positive_range(bounds)
+    _check_positive_range(n, bounds)
     lo, hi = bounds.integer_span()
     _check_scan(lo, hi)
     return operator.countOf(map(math.gcd, repeat(n), range(lo, hi + 1)), 1)
@@ -337,8 +337,7 @@ def phi_range_mobius(n: int, bounds: RangeBound) -> int:
     floor(hi/d) - ceil(lo/d) + 1 (never negative; an empty fit gives
     ceil > floor and the two cancel the +1).
     """
-    check_int("n", n, 1)
-    _check_positive_range(bounds)
+    _check_positive_range(n, bounds)
     lo, hi = bounds.lo, bounds.hi
     return _mobius_count(n, lo.numerator, lo.denominator, hi.numerator, hi.denominator, 1)
 
@@ -350,8 +349,7 @@ def phi_range_mobius_half_open(n: int, bounds: RangeBound) -> int:
     sum_d mu(d) = [n = 1], so it agrees with phi_range_mobius for n > 1 and
     undercounts by exactly 1 at n = 1 (e.g. n=1, [3, 7] gives 4, not 5).
     """
-    check_int("n", n, 1)
-    _check_positive_range(bounds)
+    _check_positive_range(n, bounds)
     lo, hi = bounds.lo, bounds.hi
     return _mobius_count(n, lo.numerator, lo.denominator, hi.numerator, hi.denominator, 0)
 
@@ -398,8 +396,7 @@ class PhiDecomposition:
 
 def phi_decomposition(n: int, lo: int, hi: int) -> PhiDecomposition:
     """Range count through prefix counts: phi[1,hi] - phi[1,lo] + [gcd(n,lo)=1]."""
-    check_int("n", n, 1)
-    _check_int_range(lo, hi)
+    _check_int_range(n, lo, hi)
     return PhiDecomposition(
         n=n,
         lo=lo,
@@ -410,7 +407,8 @@ def phi_decomposition(n: int, lo: int, hi: int) -> PhiDecomposition:
     )
 
 
-def _check_int_range(lo: int, hi: int) -> None:
+def _check_int_range(n: int, lo: int, hi: int) -> None:
+    check_int("n", n, 1)
     check_int("lo", lo, 1)
     check_int("hi", hi, lo)
 
@@ -447,10 +445,10 @@ class PhiApproximation:
 
 
 def phi_approx(n: int, lo: int, hi: int) -> PhiApproximation:
-    check_int("n", n, 1)
+    check_int("n", n, 1)  # before the precondition reads it; the range helper checks it again
     if n == 1:
         raise PreconditionError("the error analysis needs n with at least one prime factor")
-    _check_int_range(lo, hi)
+    _check_int_range(n, lo, hi)
     profile = arithmetic_profile(n)
     delta = 1 if math.gcd(n, lo) == 1 else 0
     # estimate and error are integers over n; each Fraction is built once
@@ -475,8 +473,7 @@ def divisor_partition_identity(n: int, lo: int, hi: int) -> int:
     InvariantError if it ever fails to telescope, so a plain return value
     doubles as a verified identity instance.
     """
-    check_int("n", n, 1)
-    _check_int_range(lo, hi)
+    _check_int_range(n, lo, hi)
     total = 0
     for d in _divisors(n):
         total += _mobius_count(n // d, lo, d, hi, d, 1)
@@ -494,8 +491,7 @@ def divisor_partition_by_divisor(n: int, lo: int, hi: int) -> int:
     phi(1,[1,2]) + phi(2,[1/2,1]) = 2 + 1 = 3, but the interval holds 2
     integers. No consistency check on purpose.
     """
-    check_int("n", n, 1)
-    _check_int_range(lo, hi)
+    _check_int_range(n, lo, hi)
     total = 0
     for d in _divisors(n):
         total += _mobius_count(d, lo, d, hi, d, 1)
@@ -512,8 +508,7 @@ def coprime_sum(n: int, lo: int, hi: int, strict: bool = True) -> int:
     symmetric case, e.g. n=5, [1, 2] sums to 3 while the paired formula
     would claim 5).
     """
-    check_int("n", n, 1)
-    _check_int_range(lo, hi)
+    _check_int_range(n, lo, hi)
     _check_scan(lo, hi)
     if strict and lo + hi != n:
         raise PreconditionError(

@@ -1,10 +1,11 @@
 """Shared test helpers: `run_cli`, the one way a test drives the CLI in this
-process; `run_python` and `run_cotsum` for tests of a fresh interpreter; the
-acceptance battery, one `cotsum verify` child started at collection that
-works beside the rest of the suite and that the acceptance gate and the CLI
-contract both read; `forked_children_reaped`, which fails a test that
-leaves a forked child unreaped; and `fork_here`, which runs each share a
-test would fork in the test's own process.
+process; `traced_peak`, the peak memory one call traces; `run_python` and
+`run_cotsum` for tests of a fresh interpreter; the acceptance battery, one
+`cotsum verify` child started at collection that works beside the rest of
+the suite and that the acceptance gate and the CLI contract both read;
+`forked_children_reaped`, which fails a test that leaves a forked child
+unreaped; and `fork_here`, which runs each share a test would fork in the
+test's own process.
 
 `forked_children_reaped` is one half of the suite's leak rule. The other is
 pyproject.toml's `filterwarnings`, which makes a ResourceWarning an error, and
@@ -16,12 +17,12 @@ finalizer as a PytestUnraisableExceptionWarning, an error too. A bare
 from __future__ import annotations
 
 import contextlib
-import inspect
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from typing import IO
 
 import pytest
@@ -49,6 +50,23 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traced while it ran).
+
+    A line tracer that sys.settrace installed, a coverage run's say, would
+    allocate as it records lines, so it is suspended for the call and
+    restored after it.
+    """
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.settrace(tracer)
 
 
 def child_env() -> dict[str, str]:
@@ -141,23 +159,26 @@ def battery_child(pytestconfig: pytest.Config) -> tuple[int, bytes]:
 
 @pytest.fixture(autouse=True)
 def forked_children_reaped(monkeypatch: pytest.MonkeyPatch):
-    """Each child that distribution._fork starts in a test is reaped by the test's end.
+    """Each child that distribution forks in a test is reaped by the test's end.
 
-    A bare os.fork() child left unreaped raises no ResourceWarning, so the
-    wrapper records each real child's pid and the teardown asks for each
-    one: os.waitpid(pid, WNOHANG) raises ChildProcessError only once the pid
-    has been reaped. waitpid(-1, ...) would also see the acceptance child.
-    A test that uses fork_here, the stand-in for _fork, forks nothing here.
+    A bare os.fork() child left unreaped raises no ResourceWarning, so a
+    wrapper of os.fork, as distribution sees it, records each child's pid and
+    the teardown asks for each one: os.waitpid(pid, WNOHANG) raises
+    ChildProcessError only once the pid has been reaped. waitpid(-1, ...)
+    would also see the acceptance child. A test that uses fork_here, the
+    stand-in for distribution._fork, forks nothing here.
     """
     pids = []
-    fork = distribution._fork
+    fork = getattr(distribution.os, "fork", None)
 
-    def recording(job):
-        finish = fork(job)
-        pids.append(inspect.getclosurevars(finish).nonlocals["pid"])
-        return finish
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(distribution, "_fork", recording)
+    if fork is not None:  # without os.fork every share runs here
+        monkeypatch.setattr(distribution.os, "fork", recording)
     yield
     for pid in pids:
         with pytest.raises(ChildProcessError):  # no longer a child of this process
@@ -170,22 +191,21 @@ def fork_here(monkeypatch: pytest.MonkeyPatch) -> list[list[int]]:
 
     It returns the list it fills: the items of each share handed to the fork
     step, in the order they were forked. So no process is started however
-    large workers is, and forked_children_reaped's wrapper, which it
-    replaces, has nothing to reap. A forked job that forks again fails the
-    test, since a kill of the children would not reach a grandchild.
+    large workers is. A forked job that forks again fails the test, since a
+    kill of the children would not reach a grandchild.
     """
     forked = []
-    forking = []  # the job the stand-in is running, if any
+    forking = []  # the share the stand-in is running, if any
 
-    def fork(job):
+    def fork(fn, share):
         if forking:
             pytest.fail("a forked job forked again")
-        forking.append(job)
+        forking.append(share)
         try:
-            results = job()
+            results = [fn(x) for x in share]
         finally:
             forking.pop()
-        forked.append(inspect.getclosurevars(job).nonlocals["share"])
+        forked.append(share)
         return lambda kill=False: results
 
     monkeypatch.setattr(distribution, "_fork", fork)

@@ -157,6 +157,7 @@ def _verify() -> list[list[str]]:
         ["verify", "--max-b", "12", "--max-n", "30", "--seed", "0"],
         ["verify", "--max-b", "2", "--max-n", "1", "--seed", "5", "--report", "."],
         ["verify", "--max-b", "1"],
+        ["verify", "--max-b", "2501"],  # the battery's ceiling, refused before its first check
         ["verify", "--max-n", "0"],
         ["verify", "--seed", "x"],
         ["verify", "--workers", "0"],

@@ -241,11 +241,11 @@ def test_verify_stdout_report_parses():
 
 
 def test_verify_refuses_an_oversized_max_b_before_any_check(monkeypatch):
-    # a check that runs is minutes of work before the sweep check refuses
+    # a check that ran would be the first of seconds of work before a refusal
     monkeypatch.setattr(verify, "_CHECKS", (_unreachable,))
-    code, out, err = run_cli("verify", "--max-b", "10001", "--max-n", "30")
+    code, out, err = run_cli("verify", "--max-b", "2501", "--max-n", "30")
     assert (code, out) == (2, "")
-    assert err == "invalid value: a sweep classifies at most 50000000 residues, got 50004998 for b in [2, 10001]\n"
+    assert err == "invalid value: the battery takes max_b <= 2500, got 2501\n"
 
 
 # --- a broken invariant ------------------------------------------------------

@@ -1,11 +1,10 @@
 """Per-modulus value distribution and its closed-form prediction."""
 
 import os
-import tracemalloc
 from math import gcd
 
 import pytest
-from conftest import run_python
+from conftest import run_python, traced_peak
 
 from cotsum import core, distribution
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
@@ -95,12 +94,7 @@ def test_sweep_memory_stays_within_a_block():
     # holding one flag per residue of b would trace about 264 KiB
     b = 270270
     sweep(5)  # imports and caches warm
-    tracemalloc.start()
-    try:
-        r = sweep(b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    r, peak = traced_peak(lambda: sweep(b))
     assert r.consistent
     assert peak < 96 * 2**10, peak
 

@@ -2,6 +2,7 @@
 
 from enum import IntEnum
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -125,3 +126,49 @@ def test_every_int_argument_is_refused_by_the_one_rule(entry, args, message):
     with pytest.raises(ValueError) as info:
         entry(*args)
     assert str(info.value) == message
+
+
+S_OPERANDS = ("n", "a", "modulus b")
+
+
+def _two_bad_operands():
+    # every pair of S's operands an entry takes, both made bad: the first in
+    # the order n, a, b is the one named
+    for entry, args, checked in ENTRIES:
+        operands = [(pos, name, least) for pos, (name, least) in checked.items() if name in S_OPERANDS]
+        for (i, name, least), (j, _, later_least) in combinations(operands, 2):
+            for bad, later_bad in ((least - 1, True), (2.0, later_least - 1)):
+                call_args = list(args)
+                call_args[i], call_args[j] = bad, later_bad
+                message = f"{name} must be an integer >= {least}, got {bad!r}"
+                yield pytest.param(entry, tuple(call_args), message, id=f"{entry.__name__}-{name}-{bad!r}-{later_bad!r}")
+
+
+@pytest.mark.parametrize("entry,args,message", _two_bad_operands())
+def test_the_first_bad_operand_in_the_order_n_a_b_is_named(entry, args, message):
+    with pytest.raises(ValueError) as info:
+        entry(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: numeric.eval_float(0, 1, b),
+        lambda b: numeric.cot_sin2_sum(0, 1, b),
+        lambda b: numeric.cot_cos_power_sum(2, 0, 1, b),
+        lambda b: numeric.frac_part_via_sine_sum(0, 1, b),
+    ],
+    ids=["eval_float", "cot_sin2_sum", "cot_cos_power_sum", "frac_part_via_sine_sum"],
+)
+def test_a_float_sum_checks_its_operands_before_the_modulus_ceiling(call):
+    with pytest.raises(ValueError) as info:
+        call(10**8)
+    assert str(info.value) == "n must be an integer >= 1, got 0"
+
+
+def test_phi_approx_checks_its_precondition_before_lo():
+    # n = 1 is a valid int that breaks the error analysis's hypothesis, so
+    # it is refused before the bad lo
+    with pytest.raises(PreconditionError, match="at least one prime factor"):
+        totient.phi_approx(1, 0, 5)

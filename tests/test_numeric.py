@@ -1,10 +1,10 @@
 """Floating-point oracle: agreement, vanishing sums, tolerance policy."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import traced_peak
 
 from cotsum.errors import InvariantError, PreconditionError
 from cotsum.exact import frac_part
@@ -141,12 +141,7 @@ def test_tables_cache_holds_eight_tables_and_rebuilds_evicted_ones_unchanged():
 def test_cold_eval_float_builds_only_its_two_tables():
     # above the limit every term is computed as the sum runs: no table at all
     _tables.cache_clear()
-    tracemalloc.start()
-    try:
-        eval_float(1, 7, 10**5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: eval_float(1, 7, 10**5))
     assert _tables.cache_info().currsize == 0
     assert _tables.cache_info().misses == 0
     # the two tables a tabled sum at 10^5 would build trace 6.1 MiB

@@ -139,13 +139,13 @@ def _unreachable(ctx):
 
 
 def test_oversized_max_b_refused_before_any_check(monkeypatch):
-    # the sweep check's residue ceiling also bounds the trichotomy check, which
-    # walks the same residues; both are refused before the first check runs
+    # the battery's own ceiling bounds the trichotomy check, which walks every
+    # residue of every b <= max_b; it is refused before the first check runs
     monkeypatch.setattr(verify, "_CHECKS", (_unreachable,))
-    over = r"^a sweep classifies at most 50000000 residues, got 50004998 for b in \[2, 10001\]$"
+    over = r"^the battery takes max_b <= 2500, got 2501$"
     with pytest.raises(ValueError, match=over):
-        run_checks(max_b=10_001, max_n=1)
-    verify._check_run_args(10_000, 1, 0, 1)  # 49,994,998 residues, the widest under it
+        run_checks(max_b=2501, max_n=1)
+    verify._check_run_args(2500, 1, 0, 1)  # the widest battery under it
 
 
 def test_a_library_invariant_error_is_a_failing_check(monkeypatch):
