@@ -209,12 +209,13 @@ def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
     method, so it inherits this process as it is, monkeypatches included; it
     holds only the forking thread, which is safe because cotsum starts no
     other. Where os.fork does not exist every share runs here, in order. A
-    child's exception is raised here again with its type and args; a child
-    that dies without a result raises RuntimeError. If this process's share
-    or a child raises, the children still running are killed and reaped
-    first. A forked share must not call _fan_out with more than one share,
-    so the children are the run's only processes and that kill stops all
-    of them.
+    child's exception is raised here again with its type and args, or, if
+    pickle cannot carry it, as a RuntimeError naming its type and message; a
+    child that dies without a result raises RuntimeError. If this process's
+    share or a child raises, the children still running are killed and
+    reaped first. A forked share must not call _fan_out with more than one
+    share, so the children are the run's only processes and that kill stops
+    all of them.
     """
     if len(shares) <= 1 or not hasattr(os, "fork"):
         ran = [[fn(x) for x in share] for share in shares]
@@ -238,7 +239,9 @@ def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object
     """Map fn over share in an os.fork() child and return `finish`, which waits for the list.
 
     The child pickles (True, results) or (False, exception) into a pipe and
-    leaves through os._exit, so it never returns into its caller. finish()
+    leaves through os._exit, so it never returns into its caller; an
+    exception that pickle cannot carry there and back is sent as a
+    RuntimeError naming its type and message. finish()
     reads the pipe to EOF before it reaps the child, since a result may
     outgrow the pipe's buffer; finish(kill=True) kills and reaps it instead.
     """
@@ -260,6 +263,10 @@ def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object
                 reply = (True, [fn(x) for x in share])
             except BaseException as exc:
                 reply = (False, exc)
+                try:  # an error that would not arrive as itself arrives by name
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    reply = (False, RuntimeError(f"a forked share raised {type(exc).__name__}: {exc}"))
             data = pickle.dumps(reply)
             with open(write, "wb") as pipe:
                 pipe.write(data)

@@ -20,7 +20,8 @@ about 1 MB at most. Above that limit each term is computed as the sum runs,
 so a one-off sum at a huge b holds no table at all. Both paths evaluate the
 same float expressions, so a sum gives the same bits on either side of the
 limit. Time grows with b on both paths, so every sum refuses a modulus above
-_FLOAT_MAX_B (10^7, about 8 s) with a ValueError naming the limit.
+_FLOAT_MAX_B (10^7, about 8 s) with a ValueError naming the limit, and so do
+tol and agrees, which compare such sums.
 
 The comparison tolerance is tol(b) = 1e-9 * b**2: the largest cotangent is
 cot(pi/b) ~ b/pi and sums have b-1 terms, so admissible rounding noise grows
@@ -30,6 +31,7 @@ about quadratically in b.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,14 +70,20 @@ class NumericResult:
 
 
 def tol(b: int) -> float:
-    """Comparison tolerance for modulus b."""
+    """Comparison tolerance for modulus b <= _FLOAT_MAX_B, beyond which no float sum exists."""
     check_int("modulus b", b, 2)
+    _check_ceiling(b)
     return 1e-9 * b * b
 
 
 def agrees(exact: Fraction, result: NumericResult, b: int) -> bool:
-    """Whether a float evaluation matches an exact value within tol(b)."""
-    return abs(float(exact) - result.value) <= tol(b)
+    """Whether a float evaluation matches an exact value, one a float can hold, within tol(b)."""
+    t = tol(b)
+    try:
+        value = float(exact)
+    except OverflowError:
+        raise ValueError(f"exact must be at most {sys.float_info.max!r} in magnitude, the largest float") from None
+    return abs(value - result.value) <= t
 
 
 def _terms(b: int, kind: str, ms: Iterable[int], r: int = 1, cot: bool = True) -> Iterator[float]:
@@ -126,6 +134,11 @@ _TABLE_MAX_B = 4096
 # 13 minutes. The exact value has no such limit.
 _FLOAT_MAX_B = 10**7
 
+# A cosine power's exponent is a float in the sum, and every int up to 2**53
+# is one exactly; past it float(q) rounds to an even number, so
+# (-1.0) ** (2**53 + 1) is 1.0 and an odd power would come out even.
+_Q_MAX = 2**53
+
 
 # Every caller loops b on the outside (the battery's numeric checks, the
 # acceptance tests, one b per CLI call), so all reuse is of the most recent b.
@@ -148,11 +161,16 @@ def _tables(b: int, kind: str) -> list[float]:
     return list(_terms(b, kind, range(b), cot=False))
 
 
+def _check_ceiling(b: int) -> None:
+    """The modulus ceiling of every float sum, for a b that passed the int rule."""
+    if b > _FLOAT_MAX_B:
+        raise ValueError(f"a float sum takes modulus b <= {_FLOAT_MAX_B}, got {b}")
+
+
 def _check_sum(n: int, a: int, b: int) -> None:
     """The checks of a public sum: S's operand rule, then the modulus ceiling."""
     check_operands(n, a, b)
-    if b > _FLOAT_MAX_B:
-        raise ValueError(f"a float sum takes modulus b <= {_FLOAT_MAX_B}, got {b}")
+    _check_ceiling(b)
 
 
 def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
@@ -197,6 +215,8 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
     Same pairing as cot_sin2_sum: cosine is even under m -> b-m, cotangent odd.
     """
     check_int("q", q, 1)
+    if q > _Q_MAX:  # q's digits may pass CPython's int-to-str limit, so the message counts its bits
+        raise ValueError(f"q must be at most 2**53, got a {q.bit_length()}-bit q")
     _check_sum(n, a, b)
     return _cot_sum(b, f"cos{q}", n * a)
 

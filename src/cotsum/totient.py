@@ -304,6 +304,8 @@ class RangeBound:
 
 def _check_positive_range(n: int, bounds: RangeBound) -> None:
     check_int("n", n, 1)
+    if not isinstance(bounds, RangeBound):
+        raise ValueError(f"bounds must be a RangeBound, got {type(bounds).__name__}")
     if bounds.lo.numerator <= 0:
         raise ValueError(f"range must sit inside the positive reals, got lo = {bounds.lo}")
 

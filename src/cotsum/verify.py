@@ -8,13 +8,15 @@ order (each draw as its `randint` would make it, see `_randint`), and nothing
 time- or host-dependent is recorded.
 
 A check is a generator over the run's `_Ctx` that yields once per case and
-raises `_Failed(detail, **counterexample)` at its first failure.
-`@_check(module, name, pass detail)`, with `seeded=True` if it draws from
-`ctx.rng`, appends one `_Check` record of it to `_CHECKS`, and calling that
-record runs the check: it counts the yields into a `CheckResult`.
-Registration order is report order. `_Failed` is an `InvariantError`, as is a
-library result's failed self-check, and the record makes either a failing
-`CheckResult`; any other error ends the run.
+raises `InvariantError(detail, counterexample)` at its first failure, the
+counterexample a dict of the case's values. `@_check(module, name, pass
+detail)`, with `seeded=True` if it draws from `ctx.rng`, appends one `_Check`
+record of it to `_CHECKS`, and calling that record runs the check: it counts
+the yields into a `CheckResult`. Registration order is report order. The
+record makes a failing `CheckResult` of a check's own failure, a `Fraction`
+value in its counterexample written as its str, and of a library result's
+failed self-check, an `InvariantError` whose only arg is its message; any
+other error ends the run.
 
 Beyond pass/fail checks the report carries two more sections:
 
@@ -80,21 +82,6 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def _safe(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [_safe(x) for x in v]
-    return v
-
-
-class _Failed(InvariantError):
-    """A check's first failure: args are its detail and its JSON-safe counterexample."""
-
-    def __init__(self, detail: str, **ce) -> None:
-        super().__init__(detail, {k: _safe(v) for k, v in ce.items()})
-
-
 @dataclass(frozen=True)
 class _Check:
     """One check of the battery; calling it on a ctx runs it into a CheckResult.
@@ -115,8 +102,12 @@ class _Check:
         try:
             for _ in self.gen(ctx):
                 cases += 1
-        except InvariantError as fail:  # a library one's only arg is its message
-            return CheckResult(self.module, self.name, False, cases, *fail.args)
+        except InvariantError as fail:
+            # a check's own failure is (detail, counterexample), and a library
+            # self-check's only arg is its message
+            detail, *ce = fail.args
+            safe = [{k: str(v) if isinstance(v, Fraction) else v for k, v in c.items()} for c in ce]
+            return CheckResult(self.module, self.name, False, cases, detail, *safe)
         return CheckResult(self.module, self.name, True, cases, self.detail.format(max_b=ctx.max_b))
 
 
@@ -152,7 +143,7 @@ def _check_shift_rule(ctx: _Ctx) -> Iterator[None]:
                 want = exact.frac_part(1, a + k, b)
                 yield
                 if got != want:
-                    raise _Failed("shift rule broke", b=b, a=a, k=k, got=got, want=want)
+                    raise InvariantError("shift rule broke", dict(b=b, a=a, k=k, got=got, want=want))
     # literal n, a sweep at small b
     for b in range(2, min(ctx.max_b, 12) + 1):
         for n in range(1, 3 * b + 1):
@@ -162,7 +153,7 @@ def _check_shift_rule(ctx: _Ctx) -> Iterator[None]:
                     want = exact.frac_part(1, n * a + k, b)
                     yield
                     if got != want:
-                        raise _Failed("shift rule broke", b=b, n=n, a=a, k=k, got=got, want=want)
+                        raise InvariantError("shift rule broke", dict(b=b, n=n, a=a, k=k, got=got, want=want))
 
 
 @_check("exact", "unit-shift-rules", "all a <= 3b for b <= 50")
@@ -172,11 +163,11 @@ def _check_unit_shifts(ctx: _Ctx) -> Iterator[None]:
             if a % b:
                 yield
                 if exact.frac_part(1, a, b) != exact.frac_part(1, a - 1, b) + Fraction(1, b):
-                    raise _Failed("step-by-1/b rule broke", b=b, a=a)
+                    raise InvariantError("step-by-1/b rule broke", dict(b=b, a=a))
             elif a >= 3:
                 yield
                 if exact.frac_part(1, a - 2, b) != 1 - Fraction(2, b):
-                    raise _Failed("two-below-a-multiple rule broke", b=b, a=a)
+                    raise InvariantError("two-below-a-multiple rule broke", dict(b=b, a=a))
 
 
 @_check("exact", "boundary-count-window-steps", "monotone step and short-window checks to b<=40, k<=2b+1")
@@ -190,7 +181,7 @@ def _check_boundary_steps(ctx: _Ctx) -> Iterator[None]:
                 v = exact.boundary_count(n, a, b, k).value
                 yield
                 if v - prev not in (0, b):
-                    raise _Failed("window growth must step by 0 or b", b=b, n=n, a=a, k=k, prev=prev, value=v)
+                    raise InvariantError("window growth must step by 0 or b", dict(b=b, n=n, a=a, k=k, prev=prev, value=v))
                 prev = v
 
 
@@ -216,11 +207,11 @@ def _check_known_values(ctx: _Ctx) -> Iterator[None]:
         got = core.eval_exact(n, a, b)
         yield
         if got != want:
-            raise _Failed("hand-checked value moved", n=n, a=a, b=b, got=got, want=want)
+            raise InvariantError("hand-checked value moved", dict(n=n, a=a, b=b, got=got, want=want))
         approx = numeric.eval_float(n, a, b)
         yield
         if not numeric.agrees(want, approx, b):
-            raise _Failed("float oracle disagrees on a known value", n=n, a=a, b=b, float_value=approx.value)
+            raise InvariantError("float oracle disagrees on a known value", dict(n=n, a=a, b=b, float_value=approx.value))
 
 
 @_check("core", "trichotomy-and-predicates", "every coprime a for every b <= {max_b}, b != 3")
@@ -241,10 +232,10 @@ def _check_trichotomy(ctx: _Ctx) -> Iterator[None]:
             )
             yield
             if sum(preds) != 1:
-                raise _Failed("predicates must pick exactly one class", a=a, b=b, preds=list(preds))
+                raise InvariantError("predicates must pick exactly one class", dict(a=a, b=b, preds=list(preds)))
             want = core.CotTag.ZERO if preds[0] else core.CotTag.PLUS_HALF_B if preds[1] else core.CotTag.MINUS_HALF_B
             if v.tag is not want or v.exact not in allowed:
-                raise _Failed("classification left the three-value set", a=a, b=b, tag=v.tag.value, value=v.exact)
+                raise InvariantError("classification left the three-value set", dict(a=a, b=b, tag=v.tag.value, value=v.exact))
 
 
 @_check("core", "magnitude-bound", "n <= 2, a <= 2b, b <= 200, whenever b does not divide 3na")
@@ -257,7 +248,7 @@ def _check_magnitude_bound(ctx: _Ctx) -> Iterator[None]:
                 s = core.eval_exact(n, a, b)
                 yield
                 if not abs(s) < b:
-                    raise _Failed("strict |S| < b bound broke", n=n, a=a, b=b, value=s)
+                    raise InvariantError("strict |S| < b bound broke", dict(n=n, a=a, b=b, value=s))
 
 
 @_check("core", "periodicity-in-first-argument", "a <= 3b vs a mod b, n <= 3, b <= 300")
@@ -273,7 +264,7 @@ def _check_periodicity(ctx: _Ctx) -> Iterator[None]:
                     by_residue[r] = core.eval_exact(n, r, b)
                 yield
                 if core.eval_exact(n, a, b) != by_residue[r]:
-                    raise _Failed("value must only depend on a mod b", n=n, a=a, b=b)
+                    raise InvariantError("value must only depend on a mod b", dict(n=n, a=a, b=b))
 
 
 @_check("core", "even-modulus-integrality", "coprime a <= 3b for even b <= 300")
@@ -285,7 +276,7 @@ def _check_even_integrality(ctx: _Ctx) -> Iterator[None]:
             s = core.eval_exact(1, a, b)
             yield
             if s.denominator != 1 or (2 * s) % b != 0:
-                raise _Failed("even b must give an integer with 2S divisible by b", a=a, b=b, value=s)
+                raise InvariantError("even b must give an integer with 2S divisible by b", dict(a=a, b=b, value=s))
 
 
 @_check("core", "master-congruence-witness", "coprime a <= 3b, b <= 300 excluding 3")
@@ -299,7 +290,7 @@ def _check_master_congruence(ctx: _Ctx) -> Iterator[None]:
             w = core.master_witness(a, b)  # construction checks k and re-balances the books
             yield
             if w.s != core.eval_exact(1, a, b):
-                raise _Failed("witness value diverged from evaluation", a=a, b=b, witness=w.s)
+                raise InvariantError("witness value diverged from evaluation", dict(a=a, b=b, witness=w.s))
 
 
 # ---------------------------------------------------------------- numeric
@@ -321,9 +312,9 @@ def _check_oracle_agreement(ctx: _Ctx) -> Iterator[None]:
                 ev, fv, bound = memo[r]
                 yield
                 if abs(ev - fv) > t:
-                    raise _Failed("float sum left tolerance", n=n, a=a, b=b, exact=ev, float_value=fv, tolerance=t)
+                    raise InvariantError("float sum left tolerance", dict(n=n, a=a, b=b, exact=ev, float_value=fv, tolerance=t))
                 if abs(fv) > bound:
-                    raise _Failed("reported abs_bound below the value", n=n, a=a, b=b, float_value=fv, abs_bound=bound)
+                    raise InvariantError("reported abs_bound below the value", dict(n=n, a=a, b=b, float_value=fv, abs_bound=bound))
 
 
 @_check("numeric", "vanishing-cosine-powers", "q <= 5, twenty seeded (n, a) draws per (b, q), b <= 300", seeded=True)
@@ -337,7 +328,7 @@ def _check_vanishing_cos(ctx: _Ctx) -> Iterator[None]:
                 res = numeric.cot_cos_power_sum(q, n, a, b)
                 yield
                 if abs(res.value) > t:
-                    raise _Failed("odd-times-even sum failed to cancel", n=n, a=a, b=b, q=q, value=res.value)
+                    raise InvariantError("odd-times-even sum failed to cancel", dict(n=n, a=a, b=b, q=q, value=res.value))
 
 
 @_check("numeric", "vanishing-sine-squares", "twenty seeded (n, a) draws per b <= 300", seeded=True)
@@ -350,7 +341,7 @@ def _check_vanishing_sin2(ctx: _Ctx) -> Iterator[None]:
             res = numeric.cot_sin2_sum(n, a, b)
             yield
             if abs(res.value) > t:
-                raise _Failed("squared-sine sum failed to cancel", n=n, a=a, b=b, value=res.value)
+                raise InvariantError("squared-sine sum failed to cancel", dict(n=n, a=a, b=b, value=res.value))
 
 
 @_check("numeric", "sine-sum-fractional-part", "five seeded draws per b <= 300, b not dividing n*a", seeded=True)
@@ -367,7 +358,7 @@ def _check_sine_sum_frac(ctx: _Ctx) -> Iterator[None]:
             res = numeric.frac_part_via_sine_sum(n, a, b)
             yield
             if abs(res.value - float(exact.frac_part(n, a, b))) > t:
-                raise _Failed("sine-sum route missed the fractional part", n=n, a=a, b=b, value=res.value)
+                raise InvariantError("sine-sum route missed the fractional part", dict(n=n, a=a, b=b, value=res.value))
 
 
 # ---------------------------------------------------------------- totient
@@ -392,9 +383,9 @@ def _check_profiles(ctx: _Ctx) -> Iterator[None]:
         prof = totient.arithmetic_profile(n)  # construction validates mu-sum and 2^omega size
         yield
         if prof.omega != om or prof.mobius != mob:
-            raise _Failed("profile disagrees with sieve", n=n, omega=prof.omega, mobius=prof.mobius, sieve_omega=om, sieve_mobius=mob)
+            raise InvariantError("profile disagrees with sieve", dict(n=n, omega=prof.omega, mobius=prof.mobius, sieve_omega=om, sieve_mobius=mob))
         if sum(abs(mu) for _, mu in prof.squarefree_divisors) != 2**om:
-            raise _Failed("squarefree divisors must all carry mu = +-1", n=n)
+            raise InvariantError("squarefree divisors must all carry mu = +-1", dict(n=n))
 
 
 @_check("totient", "prefix-exhaustive-agreement",
@@ -402,16 +393,17 @@ def _check_profiles(ctx: _Ctx) -> Iterator[None]:
 def _check_prefix_exhaustive(ctx: _Ctx) -> Iterator[None]:
     for n in range(1, min(ctx.max_n, 200) + 1):
         if totient.legendre_phi(n, 0) != 0:
-            raise _Failed("prefix count at 0 must be 0", n=n)
+            raise InvariantError("prefix count at 0 must be 0", dict(n=n))
         running = 0
         for x in range(1, 3 * n + 1):
             if gcd(n, x) == 1:
                 running += 1
             yield
-            if totient.legendre_phi(n, x) != running:
-                raise _Failed("prefix count diverged from the gcd scan", n=n, x=x, got=totient.legendre_phi(n, x), want=running)
+            got = totient.legendre_phi(n, x)
+            if got != running:
+                raise InvariantError("prefix count diverged from the gcd scan", dict(n=n, x=x, got=got, want=running))
             if totient.phi_range_mobius(n, RangeBound(1, x)) != running:
-                raise _Failed("inclusion-exclusion diverged from the gcd scan", n=n, x=x)
+                raise InvariantError("inclusion-exclusion diverged from the gcd scan", dict(n=n, x=x))
         # two-sided ranges telescope out of the prefixes just checked:
         # count[A, B] = prefix(B) - prefix(A-1), identically in the formulas
         for _ in range(5):
@@ -419,7 +411,7 @@ def _check_prefix_exhaustive(ctx: _Ctx) -> Iterator[None]:
             b2 = _randint(ctx.rng, a, 3 * n)
             yield
             if totient.phi_range_mobius(n, RangeBound(a, b2)) != totient.legendre_phi(n, b2) - totient.legendre_phi(n, a - 1):
-                raise _Failed("two-sided count must telescope from prefixes", n=n, lo=a, hi=b2)
+                raise InvariantError("two-sided count must telescope from prefixes", dict(n=n, lo=a, hi=b2))
 
 
 @_check("totient", "random-rational-agreement",
@@ -435,13 +427,9 @@ def _check_random_rational(ctx: _Ctx) -> Iterator[None]:
             hi = Fraction(lo_num * w_den + w_num * lo_den, lo_den * w_den)
             bounds = RangeBound(Fraction(lo_num, lo_den), hi)
             yield
-            if totient.phi_range_direct(n, bounds) != totient.phi_range_mobius(n, bounds):
-                raise _Failed(
-                    "gcd scan and inclusion-exclusion disagree",
-                    n=n, lo=bounds.lo, hi=bounds.hi,
-                    direct=totient.phi_range_direct(n, bounds),
-                    mobius=totient.phi_range_mobius(n, bounds),
-                )
+            direct, mobius = totient.phi_range_direct(n, bounds), totient.phi_range_mobius(n, bounds)
+            if direct != mobius:
+                raise InvariantError("gcd scan and inclusion-exclusion disagree", dict(n=n, lo=bounds.lo, hi=bounds.hi, direct=direct, mobius=mobius))
         # a few wide ranges, validated against prefixes instead of a long scan
         for _ in range(5):
             den = _randint(ctx.rng, 1, 8)
@@ -451,9 +439,9 @@ def _check_random_rational(ctx: _Ctx) -> Iterator[None]:
             yield
             if span_lo > span_hi:
                 if totient.phi_range_mobius(n, bounds) != 0:
-                    raise _Failed("empty span must count 0", n=n, lo=bounds.lo, hi=bounds.hi)
+                    raise InvariantError("empty span must count 0", dict(n=n, lo=bounds.lo, hi=bounds.hi))
             elif totient.phi_range_mobius(n, bounds) != totient.legendre_phi(n, span_hi) - totient.legendre_phi(n, span_lo - 1):
-                raise _Failed("wide range disagrees with prefix difference", n=n, lo=bounds.lo, hi=bounds.hi)
+                raise InvariantError("wide range disagrees with prefix difference", dict(n=n, lo=bounds.lo, hi=bounds.hi))
 
 
 @_check("totient", "prefix-decomposition", "100 seeded integer ranges per n <= 500, plus the frozen instance", seeded=True)
@@ -461,7 +449,7 @@ def _check_decomposition(ctx: _Ctx) -> Iterator[None]:
     yield
     dec = totient.phi_decomposition(12, 5, 17)
     if (dec.prefix_hi, dec.prefix_lo, dec.endpoint, dec.combined) != (6, 2, 1, 5):
-        raise _Failed("frozen worked instance moved", got=[dec.prefix_hi, dec.prefix_lo, dec.endpoint, dec.combined])
+        raise InvariantError("frozen worked instance moved", dict(got=[dec.prefix_hi, dec.prefix_lo, dec.endpoint, dec.combined]))
     for n in range(2, min(ctx.max_n, 500) + 1):
         for _ in range(100):
             lo = _randint(ctx.rng, 1, 3 * n)
@@ -470,11 +458,11 @@ def _check_decomposition(ctx: _Ctx) -> Iterator[None]:
             want = totient.phi_range_mobius(n, RangeBound(lo, hi))
             yield
             if dec.combined != want:
-                raise _Failed("prefix decomposition missed the range count", n=n, lo=lo, hi=hi, combined=dec.combined, want=want)
+                raise InvariantError("prefix decomposition missed the range count", dict(n=n, lo=lo, hi=hi, combined=dec.combined, want=want))
             if hi - lo <= 64:
                 yield
                 if dec.combined != totient.phi_range_direct(n, RangeBound(lo, hi)):
-                    raise _Failed("prefix decomposition missed the direct scan", n=n, lo=lo, hi=hi)
+                    raise InvariantError("prefix decomposition missed the direct scan", dict(n=n, lo=lo, hi=hi))
 
 
 @_check("totient", "main-term-error-bound", "100 seeded integer ranges per n <= 2000 against |error| <= 2*2^omega", seeded=True)
@@ -517,7 +505,7 @@ def _check_partition(ctx: _Ctx) -> Iterator[None]:
             yield
             got = totient.divisor_partition_identity(n, lo, hi)  # which checks that it telescopes
             if got != hi - lo + 1:
-                raise _Failed("partition total moved", n=n, lo=lo, hi=hi, got=got)
+                raise InvariantError("partition total moved", dict(n=n, lo=lo, hi=hi, got=got))
 
 
 @_check("totient", "symmetric-coprime-sum", "every symmetric split of every n <= 500")
@@ -539,7 +527,7 @@ def _check_symmetric_sum(ctx: _Ctx) -> Iterator[None]:
             tot = ps[hi] - ps[lo - 1]
             yield
             if 2 * tot != n * cnt:
-                raise _Failed("paired sum identity broke", n=n, lo=lo, hi=hi, total=tot, count=cnt)
+                raise InvariantError("paired sum identity broke", dict(n=n, lo=lo, hi=hi, total=tot, count=cnt))
         # route a few splits through the public function, which re-checks itself
         for lo in {1, n // 3 + 1, n // 2}:
             hi = n - lo
@@ -547,7 +535,7 @@ def _check_symmetric_sum(ctx: _Ctx) -> Iterator[None]:
                 continue
             yield
             if totient.coprime_sum(n, lo, hi, strict=True) != ps[hi] - ps[lo - 1]:
-                raise _Failed("public sum disagrees with prefix arrays", n=n, lo=lo, hi=hi)
+                raise InvariantError("public sum disagrees with prefix arrays", dict(n=n, lo=lo, hi=hi))
 
 
 # ---------------------------------------------------------------- distribution
@@ -559,13 +547,13 @@ def _check_sweep(ctx: _Ctx) -> Iterator[None]:
     for rep in reports:
         yield
         if not rep.consistent:
-            raise _Failed("observed counts left the closed forms", b=rep.b,
-                          observed=[rep.count_zero, rep.count_plus, rep.count_minus],
-                          closed=[rep.closed_zero, rep.closed_plus, rep.closed_minus])
+            raise InvariantError("observed counts left the closed forms", dict(
+                b=rep.b, observed=[rep.count_zero, rep.count_plus, rep.count_minus],
+                closed=[rep.closed_zero, rep.closed_plus, rep.closed_minus]))
         if rep.count_zero + rep.count_plus + rep.count_minus != rep.phi_b:
-            raise _Failed("counts must partition the coprime residues", b=rep.b, phi=rep.phi_b)
+            raise InvariantError("counts must partition the coprime residues", dict(b=rep.b, phi=rep.phi_b))
         if rep.count_plus != rep.count_minus:
-            raise _Failed("sign symmetry a <-> b-a broke", b=rep.b)
+            raise InvariantError("sign symmetry a <-> b-a broke", dict(b=rep.b))
 
 
 def _expected_discrepancies() -> list[dict]:

@@ -1,6 +1,9 @@
 """Per-modulus value distribution and its closed-form prediction."""
 
+import errno
 import os
+import signal
+import time
 from math import gcd
 
 import pytest
@@ -272,12 +275,75 @@ def test_fan_out_returns_results_in_item_order_across_interleaved_shares():
 
 
 @pytest.mark.parametrize(
-    "exc", [InvariantError("a child's identity broke"), ValueError("a child's argument", 7)], ids=lambda exc: type(exc).__name__
+    "exc",
+    [
+        InvariantError("a child's identity broke"),
+        ValueError("a child's argument", 7),
+        # a battery check's failure: its detail and its counterexample
+        InvariantError("detail", {"b": 5}),
+    ],
+    ids=["InvariantError", "ValueError", "check-failure"],
 )
 def test_fan_out_raises_a_childs_error_with_its_type_and_args(exc):
     with pytest.raises(type(exc)) as info:
         distribution._fan_out(_raise_at(1, exc), [[0], [1]])
     assert type(info.value) is type(exc) and info.value.args == exc.args
+
+
+class _WontPickle(Exception):
+    def __reduce__(self):
+        raise TypeError("this error refuses to be pickled")
+
+
+class _WontUnpickle(Exception):
+    # pickle rebuilds an exception as type(exc)(*exc.args), one arg here
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize(
+    "exc,message",
+    [
+        (_WontPickle("a child's error"), "_WontPickle: a child's error"),
+        (_WontUnpickle("a child's error", 5), "_WontUnpickle: a child's error at 5"),
+    ],
+    ids=["dumps-fails", "loads-fails"],
+)
+def test_fan_out_names_a_childs_error_that_pickle_cannot_carry(exc, message):
+    with pytest.raises(RuntimeError) as info:
+        distribution._fan_out(_raise_at(1, exc), [[0], [1]])
+    assert type(info.value) is RuntimeError and str(info.value) == f"a forked share raised {message}"
+
+
+def test_a_fork_that_fails_closes_its_pipe_and_kills_the_children_already_forked(monkeypatch):
+    # os.fork is forked_children_reaped's recording wrapper, so that fixture
+    # still checks that the first child is reaped
+    fork, pipe, waitpid = os.fork, os.pipe, os.waitpid
+    pipes, statuses = [], []
+
+    def fork_once():
+        if len(pipes) > 1:
+            raise OSError(errno.EAGAIN, "no process for the second child")
+        return fork()
+
+    def recording_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def recording_waitpid(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    monkeypatch.setattr(distribution.os, "fork", fork_once)
+    monkeypatch.setattr(distribution.os, "pipe", recording_pipe)
+    monkeypatch.setattr(distribution.os, "waitpid", recording_waitpid)
+    with pytest.raises(OSError, match="no process for the second child"):
+        distribution._fan_out(lambda x: time.sleep(60) if x else x, [[0], [1], [2]])
+    assert len(pipes) == 2
+    for fd in pipes[1]:  # both ends of the pipe the failed fork was to use
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
 
 
 def test_fan_out_child_that_dies_without_a_result_is_a_runtime_error():

@@ -172,3 +172,54 @@ def test_phi_approx_checks_its_precondition_before_lo():
     # it is refused before the bad lo
     with pytest.raises(PreconditionError, match="at least one prime factor"):
         totient.phi_approx(1, 0, 5)
+
+
+# ---------------------------------------------------------------- arguments past the int rule
+
+
+@pytest.mark.parametrize("entry", [totient.phi_range_direct, totient.phi_range_mobius, totient.phi_range_mobius_half_open])
+@pytest.mark.parametrize("bounds", [1, (1, 5), "1", None], ids=repr)
+def test_a_range_count_refuses_bounds_that_are_not_a_range_bound(entry, bounds):
+    with pytest.raises(ValueError) as info:
+        entry(6, bounds)
+    assert str(info.value) == f"bounds must be a RangeBound, got {type(bounds).__name__}"
+    with pytest.raises(ValueError) as info:  # n is checked first
+        entry(0, bounds)
+    assert str(info.value) == "n must be an integer >= 1, got 0"
+
+
+@pytest.mark.parametrize("b", [10**7 + 1, 10**400], ids=["ceiling-plus-1", "10**400"])
+def test_tol_and_agrees_refuse_a_modulus_with_no_float_sum(b):
+    for call in (lambda: numeric.tol(b), lambda: numeric.agrees(Fraction(0), _RESULT, b)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"a float sum takes modulus b <= 10000000, got {b}"
+    assert numeric.tol(10**7) == 1e-9 * 10**7 * 10**7
+
+
+def test_agrees_checks_b_then_refuses_an_exact_value_no_float_holds():
+    huge = Fraction(10**400)
+    with pytest.raises(ValueError) as info:
+        numeric.agrees(huge, _RESULT, 1)
+    assert str(info.value) == "modulus b must be an integer >= 2, got 1"
+    for exact in (huge, -huge, Fraction(10**400 + 1, 3)):
+        with pytest.raises(ValueError) as info:
+            numeric.agrees(exact, _RESULT, 5)
+        assert str(info.value) == "exact must be at most 1.7976931348623157e+308 in magnitude, the largest float"
+    # a value that rounds to a float, however small, is compared
+    assert numeric.agrees(Fraction(1, 10**400), numeric.cot_sin2_sum(1, 2, 5), 5)
+
+
+@pytest.mark.parametrize("q", [2**53 + 1, 10**400, 10**5000], ids=["2**53+1", "10**400", "10**5000"])
+def test_cot_cos_power_sum_refuses_q_past_exact_float_powers(q):
+    # past 2**53, float(q) rounds to an even number and an odd power would
+    # come out even; q's digits may pass CPython's int-to-str limit
+    for n in (1, 0):  # q is checked before n
+        with pytest.raises(ValueError) as info:
+            numeric.cot_cos_power_sum(q, n, 1, 4)
+        assert str(info.value) == f"q must be at most 2**53, got a {q.bit_length()}-bit q"
+
+
+def test_cot_cos_power_sum_takes_q_up_to_2_to_the_53():
+    odd, even = numeric.cot_cos_power_sum(3, 1, 1, 4), numeric.cot_cos_power_sum(2**53, 1, 1, 4)
+    assert odd.value == -even.value != 0.0

@@ -495,8 +495,10 @@ def test_checks_are_rebindable_result_callables_in_report_order(timed_12_30):
 
 
 # ---------------------------------------------------------------- failure branches
-# One fault for each failure branch that no mutant above reaches. Its check
-# runs alone at (12, 30) on Random(0), and the whole failing result is pinned.
+# One fault for each failure branch that no mutant above reaches, and one
+# wrong only at its first call for each branch that reports what the failing
+# condition computed, so a second call could not hide it. Its check runs
+# alone at (12, 30) on Random(0), and the whole failing result is pinned.
 
 
 def _plus(extra):
@@ -511,6 +513,22 @@ def _moved(at, **fields):
         def mutant(*args):
             result = original(*args)
             return replace(result, **{k: f(result) for k, f in fields.items()}) if args == at else result
+
+        return mutant
+
+    return make
+
+
+def _plus_1_once(when):
+    # the original's value plus 1 at the first call where when(*args) holds
+    def make(original):
+        done = []
+
+        def mutant(*args):
+            if done or not when(*args):
+                return original(*args)
+            done.append(args)
+            return original(*args) + 1
 
         return mutant
 
@@ -547,9 +565,21 @@ FAILURE_BRANCHES = {
         [(totient, "arithmetic_profile", _moved((6,), squarefree_divisors=lambda r: ((1, 1), (2, 0), (3, 0), (6, -1))))],
         "squarefree divisors must all carry mu = +-1", 6, {"n": 6},
     ),
+    "prefix-count-compared-once": (
+        "prefix-exhaustive-agreement", [(totient, "legendre_phi", _plus_1_once(lambda n, x: x > 0))],
+        "prefix count diverged from the gcd scan", 1, {"n": 1, "x": 1, "got": 2, "want": 1},
+    ),
     "prefix-two-sided": (
         "prefix-exhaustive-agreement", [(totient, "phi_range_mobius", _plus(lambda n, bounds: bounds.lo > 1))],
         "two-sided count must telescope from prefixes", 4, {"n": 1, "lo": 2, "hi": 3},
+    ),
+    "random-rational-direct-compared-once": (
+        "random-rational-agreement", [(totient, "phi_range_direct", _plus_1_once(lambda n, bounds: True))],
+        "gcd scan and inclusion-exclusion disagree", 1, {"n": 1, "lo": "2/7", "hi": "134/7", "direct": 20, "mobius": 19},
+    ),
+    "random-rational-mobius-compared-once": (
+        "random-rational-agreement", [(totient, "phi_range_mobius", _plus_1_once(lambda n, bounds: True))],
+        "gcd scan and inclusion-exclusion disagree", 1, {"n": 1, "lo": "2/7", "hi": "134/7", "direct": 19, "mobius": 20},
     ),
     "random-rational-empty-span": (
         "random-rational-agreement",
