@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError, check_operands
+from .errors import InvariantError, PreconditionError, _shown, check_operands
 from .exact import _boundary_value
 
 __all__ = [
@@ -87,7 +87,7 @@ class CotSumValue:
             or (tag is CotTag.PLUS_HALF_B and num <= 0)
             or (tag is CotTag.MINUS_HALF_B and num >= 0)
         ):
-            raise InvariantError(f"tag {tag.value} inconsistent with value {self.exact}")
+            raise InvariantError(f"tag {tag.value} inconsistent with value {_shown(self.exact)}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ class MasterWitness:
 
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.b - 2:
-            raise InvariantError(f"witness k={self.k} outside [0, {self.b - 2}]")
+            raise InvariantError(f"witness k={_shown(self.k)} outside [0, {_shown(self.b - 2)}]")
         # 2*s must equal the integer rest; cross-multiplied, so no Fraction
         rest = (3 * self.nu + 2) * self.b - (3 * self.a + self.k + 1) - 3 * self.e1k
         if rest * self.s.denominator != 2 * self.s.numerator:
-            raise InvariantError(f"witness books do not balance: 2*s = {2 * self.s}, the rest is {rest}")
+            raise InvariantError(f"witness books do not balance: 2*s = {_shown(2 * self.s)}, the rest is {_shown(rest)}")
 
 
 # classify's tags in the order of the tag rule's indices
@@ -166,7 +166,7 @@ def classify(a: int, b: int, strict: bool = False) -> CotSumValue:
             raise PreconditionError("b = 3 admits values outside {0, +b/2, -b/2}")
         g = math.gcd(a, b)
         if g != 1:
-            raise PreconditionError(f"gcd(a, b) = {g}; classification needs gcd(a, b) = 1")
+            raise PreconditionError(f"gcd(a, b) = {_shown(g)}; classification needs gcd(a, b) = 1")
     num, den = _kernel(a, b)
     return CotSumValue(tag=_TAGS[_tag(num, den, b)], exact=Fraction(num, den))
 
@@ -181,7 +181,7 @@ def master_witness(a: int, b: int) -> MasterWitness:
     """
     check_operands(1, a, b)
     if (3 * a) % b == 0:
-        raise PreconditionError(f"no witness k: {b} divides 3*{a}")
+        raise PreconditionError(f"no witness k: {_shown(b)} divides 3*{_shown(a)}")
     k = (-3 * a - 1) % b  # lands in [0, b-2] exactly because b does not divide 3a
     nu = (a + k) // b
     e1k = _boundary_value(a, b, k)  # E(1, k), the boundary count of (a, a + k]
@@ -194,10 +194,10 @@ def _check_reduced_coprime(a: int, b: int) -> None:
     if b == 3:
         raise PreconditionError("the three-way predicates exclude b = 3")
     if a >= b:
-        raise PreconditionError(f"predicates take a reduced residue, need 1 <= a <= {b - 1}")
+        raise PreconditionError(f"predicates take a reduced residue, need 1 <= a <= {_shown(b - 1)}")
     g = math.gcd(a, b)
     if g != 1:
-        raise PreconditionError(f"gcd(a, b) = {g}; predicates need gcd(a, b) = 1")
+        raise PreconditionError(f"gcd(a, b) = {_shown(g)}; predicates need gcd(a, b) = 1")
 
 
 def predicate_zero(a: int, b: int) -> bool:

@@ -46,7 +46,7 @@ from itertools import compress
 
 from . import totient
 from .core import _kernel, _tag
-from .errors import InvariantError, PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, _shown, check_int
 
 __all__ = ["SweepReport", "closed_form_counts", "sweep", "sweep_range"]
 
@@ -70,7 +70,7 @@ class SweepReport:
             and self.count_minus == self.closed_minus
         )
         if self.consistent != matches:
-            raise InvariantError(f"consistent flag wrong for b={self.b}")
+            raise InvariantError(f"consistent flag wrong for b={_shown(self.b)}")
 
 
 # A sweep sieves every residue a in [1, b-1] of each modulus and classifies
@@ -97,7 +97,9 @@ def _check_residues(b_lo: int, b_hi: int) -> None:
     # skipped b = 3, in closed form: no modulus is visited
     count = (b_hi - b_lo + 1) * (b_lo + b_hi - 2) // 2 - (2 if b_lo <= 3 <= b_hi else 0)
     if count > _SWEEP_MAX:
-        raise ValueError(f"a sweep classifies at most {_SWEEP_MAX} residues, got {count} for b in [{b_lo}, {b_hi}]")
+        raise ValueError(
+            f"a sweep classifies at most {_SWEEP_MAX} residues, got {_shown(count)} for b in [{_shown(b_lo)}, {_shown(b_hi)}]"
+        )
 
 
 def _check_sweep_args(b_lo: int, b_hi: int, workers: int) -> None:

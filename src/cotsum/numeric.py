@@ -20,8 +20,10 @@ about 1 MB at most. Above that limit each term is computed as the sum runs,
 so a one-off sum at a huge b holds no table at all. Both paths evaluate the
 same float expressions, so a sum gives the same bits on either side of the
 limit. Time grows with b on both paths, so every sum refuses a modulus above
-_FLOAT_MAX_B (10^7, about 8 s) with a ValueError naming the limit, and so do
-tol and agrees, which compare such sums.
+_FLOAT_MAX_B (10^7, about 8 s), and so do tol and agrees, which compare such
+sums; cot_cos_power_sum refuses an exponent q above _Q_MAX (2^53). Each
+ceiling is `check_int`'s `most`, so the ValueError names the argument, the
+limit and the value.
 
 The comparison tolerance is tol(b) = 1e-9 * b**2: the largest cotangent is
 cot(pi/b) ~ b/pi and sums have b-1 terms, so admissible rounding noise grows
@@ -36,8 +38,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
-from .errors import InvariantError, PreconditionError, check_int, check_operands
+from .errors import InvariantError, PreconditionError, _shown, check_int, check_operands
 
 __all__ = [
     "NumericResult",
@@ -62,27 +65,30 @@ class NumericResult:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
-            raise InvariantError(f"non-finite sum {self.value!r}")
+            raise InvariantError(f"non-finite sum {_shown(self.value, repr)}")
         if self.term_count < 1:
-            raise InvariantError(f"term_count must be >= 1, got {self.term_count}")
+            raise InvariantError(f"term_count must be >= 1, got {_shown(self.term_count)}")
         if self.abs_bound < 0.0:
-            raise InvariantError(f"abs_bound must be >= 0, got {self.abs_bound}")
+            raise InvariantError(f"abs_bound must be >= 0, got {_shown(self.abs_bound)}")
 
 
 def tol(b: int) -> float:
     """Comparison tolerance for modulus b <= _FLOAT_MAX_B, beyond which no float sum exists."""
-    check_int("modulus b", b, 2)
-    _check_ceiling(b)
+    check_int("modulus b", b, 2, _FLOAT_MAX_B)
     return 1e-9 * b * b
 
 
 def agrees(exact: Fraction, result: NumericResult, b: int) -> bool:
     """Whether a float evaluation matches an exact value, one a float can hold, within tol(b)."""
     t = tol(b)
+    if not isinstance(exact, Rational):
+        raise ValueError(f"exact must be a Fraction or an int, got {type(exact).__name__}")
     try:
         value = float(exact)
     except OverflowError:
         raise ValueError(f"exact must be at most {sys.float_info.max!r} in magnitude, the largest float") from None
+    if not isinstance(result, NumericResult):
+        raise ValueError(f"result must be a NumericResult, got {type(result).__name__}")
     return abs(value - result.value) <= t
 
 
@@ -92,18 +98,13 @@ def _terms(b: int, kind: str, ms: Iterable[int], r: int = 1, cot: bool = True) -
     With cot false the factor comes alone, as the tables hold it. kind is
     "sin", "sin2" or "sin3" for a power of sin(2*pi*j/b), "cos<q>"
     for cos(2*pi*j/b)**q with q >= 1, or "cot", the cosine's zeroth power:
-    its factor is 1.0, so its terms are the cotangents themselves. Every float
-    expression of the oracle is written here once, and each term is computed
-    whole in one loop, so a tabled sum and a streamed one give the same bits.
+    its factor is 1.0, so its terms are the cotangents themselves. Unchecked:
+    the public sums name only these kinds. Every float expression of the
+    oracle is written here once, and each term is computed whole in one
+    loop, so a tabled sum and a streamed one give the same bits.
     """
-    if kind == "cot":
-        cosine, p = True, 0
-    elif kind in ("sin", "sin2", "sin3"):
-        cosine, p = False, int(kind[3:] or 1)
-    elif kind.startswith("cos") and kind[3:].isdecimal() and int(kind[3:]) >= 1:
-        cosine, p = True, int(kind[3:])
-    else:
-        raise ValueError(f"unknown table kind {kind!r}")
+    cosine = kind.startswith("c")
+    p = int(kind[3:] or (0 if cosine else 1))
     sin, cos, pi = math.sin, math.cos, math.pi
     for m in ms:
         if cosine:
@@ -149,34 +150,20 @@ _Q_MAX = 2**53
 # one b without a rebuild.
 @lru_cache(maxsize=8)
 def _tables(b: int, kind: str) -> list[float]:
-    """One trig table of modulus b <= _TABLE_MAX_B, indexed by m (cot) or j (the rest) in [0, b-1].
+    """One trig table of modulus b, indexed by m (cot) or j (the rest) in [0, b-1].
 
-    kind is one of the kinds of `_terms`.
+    kind is one of the kinds of `_terms`. Unchecked: `_cot_sum`, the one
+    caller, asks only for 2 <= b <= _TABLE_MAX_B.
     """
-    check_int("modulus b", b, 2)
-    if b > _TABLE_MAX_B:
-        raise ValueError(f"no table above b = {_TABLE_MAX_B}, got {b}; such sums are streamed")
     if kind == "cot":
         return [0.0, *_terms(b, kind, range(1, b))]  # index 0 unused, cot(0) never appears
     return list(_terms(b, kind, range(b), cot=False))
 
 
-def _check_ceiling(b: int) -> None:
-    """The modulus ceiling of every float sum, for a b that passed the int rule."""
-    if b > _FLOAT_MAX_B:
-        raise ValueError(f"a float sum takes modulus b <= {_FLOAT_MAX_B}, got {b}")
-
-
-def _check_sum(n: int, a: int, b: int) -> None:
-    """The checks of a public sum: S's operand rule, then the modulus ceiling."""
-    check_operands(n, a, b)
-    _check_ceiling(b)
-
-
 def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
     """Correctly rounded sum of cot(pi*m/b) times the `kind` factor at m*na mod b, m in [1, b-1].
 
-    Unchecked: each public sum runs _check_sum first.
+    Unchecked: each public sum checks its operands first, b up to _FLOAT_MAX_B.
     """
     r = na % b
     if b <= _TABLE_MAX_B:
@@ -195,7 +182,7 @@ def _cot_sum(b: int, kind: str, na: int) -> NumericResult:
 
 def eval_float(n: int, a: int, b: int) -> NumericResult:
     """Brute-force S(n, a, b): sum of cot(pi*m/b) * sin(2*pi*m*n*a/b)**3."""
-    _check_sum(n, a, b)
+    check_operands(n, a, b, _FLOAT_MAX_B)
     return _cot_sum(b, "sin3", n * a)
 
 
@@ -205,7 +192,7 @@ def cot_sin2_sum(n: int, a: int, b: int) -> NumericResult:
     The m -> b-m flip negates the cotangent and fixes the squared sine, so
     terms cancel in pairs. Returned unsimplified as a cancellation probe.
     """
-    _check_sum(n, a, b)
+    check_operands(n, a, b, _FLOAT_MAX_B)
     return _cot_sum(b, "sin2", n * a)
 
 
@@ -214,10 +201,8 @@ def cot_cos_power_sum(q: int, n: int, a: int, b: int) -> NumericResult:
 
     Same pairing as cot_sin2_sum: cosine is even under m -> b-m, cotangent odd.
     """
-    check_int("q", q, 1)
-    if q > _Q_MAX:  # q's digits may pass CPython's int-to-str limit, so the message counts its bits
-        raise ValueError(f"q must be at most 2**53, got a {q.bit_length()}-bit q")
-    _check_sum(n, a, b)
+    check_int("q", q, 1, _Q_MAX)
+    check_operands(n, a, b, _FLOAT_MAX_B)
     return _cot_sum(b, f"cos{q}", n * a)
 
 
@@ -228,10 +213,10 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     j = n*a mod b, which needs b to not divide n*a. Compare against
     frac_part(n, a, b) within tol(b).
     """
-    _check_sum(n, a, b)  # the limit comes before the precondition
+    check_operands(n, a, b, _FLOAT_MAX_B)  # the limit comes before the precondition
     r = n * a % b
     if r == 0:
-        raise PreconditionError(f"{b} divides {n}*{a}; the sine sum degenerates")
+        raise PreconditionError(f"{_shown(b)} divides {_shown(n)}*{_shown(a)}; the sine sum degenerates")
     inner = _cot_sum(b, "sin", r)
     return NumericResult(
         value=0.5 - inner.value / (2.0 * b),

@@ -24,6 +24,10 @@ distinct n: callers ask for one n many times in a row, so that keeps every
 repeat a hit while a loop over millions of n stays at about 0.25 MB of
 profiles instead of growing without limit (about 0.9 KB per n).
 
+The ceilings on an int argument, n's _FACTOR_MAX and spf_sieve's
+_SIEVE_MAX (10^6), are `check_int`'s `most`, so each refusal names the
+argument, the limit and the value, at any size of the value.
+
 On top of those: the main-term approximation with its explicit 2 * 2^omega(n)
 error bound, a divisor-level partition of a range by gcd, and the paired sum
 of coprime residues over a symmetric range.
@@ -43,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .errors import InvariantError, PreconditionError, check_int
+from .errors import InvariantError, PreconditionError, _shown, check_int
 
 __all__ = [
     "ArithmeticProfile",
@@ -76,7 +80,9 @@ _SCAN_MAX = 10**7
 
 def _check_scan(lo: int, hi: int) -> None:
     if hi - lo + 1 > _SCAN_MAX:
-        raise ValueError(f"a gcd scan covers at most {_SCAN_MAX} integers, got {hi - lo + 1} in [{lo}, {hi}]")
+        raise ValueError(
+            f"a gcd scan covers at most {_SCAN_MAX} integers, got {_shown(hi - lo + 1)} in [{_shown(lo)}, {_shown(hi)}]"
+        )
 
 
 # Every count but the gcd scans starts from n's factorization, by trial
@@ -132,9 +138,9 @@ class ArithmeticProfile:
             prod *= p**e
             phi -= phi // p
         if prod != self.n:
-            raise InvariantError(f"prime powers reconstruct {prod}, not {self.n}")
+            raise InvariantError(f"prime powers reconstruct {_shown(prod)}, not {_shown(self.n)}")
         if phi != self.euler_phi:
-            raise InvariantError(f"euler_phi {self.euler_phi} disagrees with the product formula {phi}")
+            raise InvariantError(f"euler_phi {_shown(self.euler_phi)} disagrees with the product formula {_shown(phi)}")
         if self.omega != len(self.prime_powers):
             raise InvariantError("omega disagrees with the factor list")
         squarefree = all(e == 1 for _, e in self.prime_powers)
@@ -173,9 +179,7 @@ def arithmetic_profile(n: int) -> ArithmeticProfile:
 
     n is at most _FACTOR_MAX (10^14); a larger n raises ValueError.
     """
-    check_int("n", n, 1)
-    if n > _FACTOR_MAX:
-        raise ValueError(f"factorizing takes n <= {_FACTOR_MAX}, got {n}")
+    check_int("n", n, 1, _FACTOR_MAX)
     pp = _factorize(n)
     phi = n
     for p, _ in pp:
@@ -220,9 +224,7 @@ def spf_sieve(limit: int) -> list[int]:
     Used by verification code as an independent source of omega/mobius data.
     limit is at most _SIEVE_MAX (10^6); a larger one raises ValueError.
     """
-    check_int("limit", limit, 1)
-    if limit > _SIEVE_MAX:
-        raise ValueError(f"a sieve takes limit <= {_SIEVE_MAX}, got {limit}")
+    check_int("limit", limit, 1, _SIEVE_MAX)
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:  # p prime
@@ -263,7 +265,7 @@ def _endpoint(value: RationalLike, what: str = "range endpoint") -> Fraction:
     # silently stand for a different range than the caller wrote
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(
-            f"{what} must be an int, str or Fraction, got {type(value).__name__} {value!r}"
+            f"{what} must be an int, str or Fraction, got {type(value).__name__} {_shown(value, repr)}"
         )
     if isinstance(value, str):
         _check_digits(value, what)
@@ -294,7 +296,7 @@ class RangeBound:
             hi = _endpoint(hi)
             object.__setattr__(self, "hi", hi)
         if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
-            raise ValueError(f"bounds out of order: {lo} > {hi}")
+            raise ValueError(f"bounds out of order: {_shown(lo)} > {_shown(hi)}")
 
     def integer_span(self) -> tuple[int, int]:
         """(ceil(lo), floor(hi)); first > second means no integers inside."""
@@ -307,7 +309,7 @@ def _check_positive_range(n: int, bounds: RangeBound) -> None:
     if not isinstance(bounds, RangeBound):
         raise ValueError(f"bounds must be a RangeBound, got {type(bounds).__name__}")
     if bounds.lo.numerator <= 0:
-        raise ValueError(f"range must sit inside the positive reals, got lo = {bounds.lo}")
+        raise ValueError(f"range must sit inside the positive reals, got lo = {_shown(bounds.lo)}")
 
 
 def phi_range_direct(n: int, bounds: RangeBound) -> int:
@@ -369,7 +371,7 @@ def legendre_phi(n: int, x: RationalLike) -> int:
             x = _endpoint(x, "prefix bound")
         num, den = x.numerator, x.denominator
     if num < 0:
-        raise ValueError(f"prefix bound must be >= 0, got {x}")
+        raise ValueError(f"prefix bound must be >= 0, got {_shown(x)}")
     total = 0
     for d, mu in arithmetic_profile(n).squarefree_divisors:
         total += mu * (num // (den * d))
@@ -389,7 +391,7 @@ class PhiDecomposition:
 
     def __post_init__(self) -> None:
         if self.endpoint not in (0, 1):
-            raise InvariantError(f"endpoint indicator must be 0 or 1, got {self.endpoint}")
+            raise InvariantError(f"endpoint indicator must be 0 or 1, got {_shown(self.endpoint)}")
 
     @property
     def combined(self) -> int:
@@ -442,7 +444,8 @@ class PhiApproximation:
             raise InvariantError("error field must equal exact - estimate")
         if abs(err.numerator) > self.bound * err.denominator:
             raise InvariantError(
-                f"error {self.error} exceeds bound {self.bound} for n={self.n}, [{self.lo}, {self.hi}]"
+                f"error {_shown(self.error)} exceeds bound {_shown(self.bound)} for n={_shown(self.n)},"
+                f" [{_shown(self.lo)}, {_shown(self.hi)}]"
             )
 
 
@@ -481,7 +484,8 @@ def divisor_partition_identity(n: int, lo: int, hi: int) -> int:
         total += _mobius_count(n // d, lo, d, hi, d, 1)
     if total != hi - lo + 1:
         raise InvariantError(
-            f"partition of [{lo}, {hi}] by gcd with {n} came to {total}, not {hi - lo + 1}"
+            f"partition of [{_shown(lo)}, {_shown(hi)}] by gcd with {_shown(n)} came to {_shown(total)},"
+            f" not {_shown(hi - lo + 1)}"
         )
     return total
 
@@ -514,7 +518,7 @@ def coprime_sum(n: int, lo: int, hi: int, strict: bool = True) -> int:
     _check_scan(lo, hi)
     if strict and lo + hi != n:
         raise PreconditionError(
-            f"pairing k <-> n-k needs lo + hi = n; got {lo} + {hi} != {n}"
+            f"pairing k <-> n-k needs lo + hi = n; got {_shown(lo)} + {_shown(hi)} != {_shown(n)}"
         )
     gcd = math.gcd
     count = 0
@@ -525,6 +529,6 @@ def coprime_sum(n: int, lo: int, hi: int, strict: bool = True) -> int:
             total += k
     if strict and 2 * total != n * count:
         raise InvariantError(
-            f"paired sum broke: 2*{total} != {n}*{count} on [{lo}, {hi}]"
+            f"paired sum broke: 2*{_shown(total)} != {_shown(n)}*{_shown(count)} on [{_shown(lo)}, {_shown(hi)}]"
         )
     return total

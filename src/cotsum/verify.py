@@ -606,19 +606,19 @@ def _expected_discrepancies() -> list[dict]:
 # does not bound the battery. run_checks(max_b, 2000, 0) in one process took
 # 15.7 s at 2000, 18.6 s at 2500 and 22.1 s at 3000 (shared 2-vCPU x86-64
 # host, Python 3.11): 2500 is the largest round max_b within the 10-20 s of
-# work the sweep's ceiling allows.
+# work the sweep's ceiling allows. It is max_b's `most` in check_int, so a
+# larger max_b is refused, before the other arguments and any check, as
+# "max_b must be at most 2500".
 _BATTERY_MAX_B = 2500
 
 
 def _check_run_args(max_b: int, max_n: int, seed: int, workers: int) -> None:
     """Every check run_checks makes before the work; `cotsum verify` makes them before it opens --report."""
-    check_int("max_b", max_b, 2)
+    check_int("max_b", max_b, 2, _BATTERY_MAX_B)
     check_int("max_n", max_n, 1)
     check_int("workers", workers, 1)
     # the report names the seed, so it must be the int that picked the stream
     check_int("seed", seed)
-    if max_b > _BATTERY_MAX_B:
-        raise ValueError(f"the battery takes max_b <= {_BATTERY_MAX_B}, got {max_b}")
 
 
 def run_checks(max_b: int = 100, max_n: int = 500, seed: int = 0, workers: int = 1) -> dict:

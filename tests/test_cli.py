@@ -245,7 +245,7 @@ def test_verify_refuses_an_oversized_max_b_before_any_check(monkeypatch):
     monkeypatch.setattr(verify, "_CHECKS", (_unreachable,))
     code, out, err = run_cli("verify", "--max-b", "2501", "--max-n", "30")
     assert (code, out) == (2, "")
-    assert err == "invalid value: the battery takes max_b <= 2500, got 2501\n"
+    assert err == "invalid value: max_b must be at most 2500, got 2501\n"
 
 
 # --- a broken invariant ------------------------------------------------------

@@ -120,6 +120,8 @@ def test_boundary_count_type_rejects_inconsistent_fields():
         BoundaryCount(n=1, a=1, b=5, k=0, value=5)  # empty window, nonzero count
     with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=3, value=10)  # short window, two multiples
+    with pytest.raises(InvariantError):
+        BoundaryCount(n=1, a=1, b=0, k=0, value=0)  # no modulus below 2, so no division by 0
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,7 @@ def test_profile_cache_keeps_its_callers_repeats():
 
 
 def test_spf_sieve_refuses_a_limit_over_the_ceiling():
-    with pytest.raises(ValueError, match=rf"^a sieve takes limit <= {_SIEVE_MAX}, got {_SIEVE_MAX + 1}$"):
+    with pytest.raises(ValueError, match=rf"^limit must be at most {_SIEVE_MAX}, got {_SIEVE_MAX + 1}$"):
         spf_sieve(_SIEVE_MAX + 1)
     spf = spf_sieve(_SIEVE_MAX)  # 10^6: about 0.2 s and 38 MB
     assert len(spf) == _SIEVE_MAX + 1
@@ -473,7 +473,7 @@ def test_gcd_scans_refuse_ranges_over_the_ceiling():
 
 def test_factorization_refuses_n_over_the_ceiling():
     # only just over the limit: a prime just under it takes about 0.3-0.5 s
-    over = f"factorizing takes n <= {_FACTOR_MAX}, got {_FACTOR_MAX + 1}"
+    over = f"n must be at most {_FACTOR_MAX}, got {_FACTOR_MAX + 1}"
     n = _FACTOR_MAX + 1
     for call in (
         lambda: arithmetic_profile(n),

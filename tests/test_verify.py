@@ -142,7 +142,7 @@ def test_oversized_max_b_refused_before_any_check(monkeypatch):
     # the battery's own ceiling bounds the trichotomy check, which walks every
     # residue of every b <= max_b; it is refused before the first check runs
     monkeypatch.setattr(verify, "_CHECKS", (_unreachable,))
-    over = r"^the battery takes max_b <= 2500, got 2501$"
+    over = r"^max_b must be at most 2500, got 2501$"
     with pytest.raises(ValueError, match=over):
         run_checks(max_b=2501, max_n=1)
     verify._check_run_args(2500, 1, 0, 1)  # the widest battery under it
