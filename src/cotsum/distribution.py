@@ -30,16 +30,20 @@ itself and calls neither gcd nor `totient`, while the closed forms start from
 processes a run may use at once, the calling one included, and `_fan_out`
 maps a function over shares of distinct int items, one share per process,
 forking all but the first, and returns the results in item order.
-`sweep_range` deals its moduli into shares round-robin, and
-`verify.run_checks` hands it shares of check positions. No job that
-`_fan_out` forks fans out again (the battery's sweep check sweeps its moduli
-in its own share), so a run forks at most one level deep, and killing its
-children stops every process it started.
+`sweep_range` deals its moduli into shares in snake order, so that each
+share holds about as many coprime residues, and `verify.run_checks` hands it
+shares of check positions. No job that `_fan_out` forks fans out again (the
+battery's sweep check sweeps its moduli in its own share), so a run forks at
+most one level deep, and killing its children stops every process it
+started. A SIGTERM or SIGHUP that reaches the calling process while it has
+children ends through that same kill.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
@@ -110,20 +114,20 @@ def _check_sweep_args(b_lo: int, b_hi: int, workers: int) -> None:
     _check_residues(b_lo, b_hi)
 
 
-def _interval_phi(b: int, lo: int, hi: int) -> int:
-    # the kernel is looked up on `totient` at each call, so a patched one is
-    # the one that counts
-    return totient._mobius_count(b, lo, 1, hi, 1, 1) if lo <= hi else 0
-
-
 def closed_form_counts(b: int) -> tuple[int, int, int]:
-    """(zero, plus, minus) counts predicted by the interval picture."""
+    """(zero, plus, minus) counts predicted by the interval picture.
+
+    Each is the inclusion-exclusion kernel over its interval, looked up on
+    `totient` at each call, so a patched kernel is the one that counts. No
+    interval is emptier than lo = hi + 1 (b = 2's minus interval is [2, 1]),
+    and there every divisor's term is 0.
+    """
     check_int("modulus b", b, 2)
     if b == 3:
         raise PreconditionError("the interval picture excludes b = 3")
-    zero = _interval_phi(b, (b + 3) // 3, (2 * b - 1) // 3)  # ceil((b+1)/3) = (b+3)//3
-    plus = _interval_phi(b, 1, (b - 1) // 3)
-    minus = _interval_phi(b, (2 * b + 3) // 3, b - 1)  # ceil((2b+1)/3) = (2b+3)//3
+    zero = totient._mobius_count(b, (b + 3) // 3, 1, (2 * b - 1) // 3, 1, 1)  # ceil((b+1)/3) = (b+3)//3
+    plus = totient._mobius_count(b, 1, 1, (b - 1) // 3, 1, 1)
+    minus = totient._mobius_count(b, (2 * b + 3) // 3, 1, b - 1, 1, 1)  # ceil((2b+1)/3) = (2b+3)//3
     return zero, plus, minus
 
 
@@ -179,15 +183,18 @@ def sweep_range(b_lo: int, b_hi: int, workers: int = 1) -> list[SweepReport]:
     sum of b - 1 over its moduli; a larger one raises ValueError up front.
 
     workers only schedules the work, and the rows are the same for every
-    value: the moduli are dealt round-robin into _processes(workers) shares,
-    or one per modulus if there are fewer, so share i holds every k-th
-    modulus from the i-th and the shares carry about equal work (a modulus b
-    costs about b). _fan_out runs them, the first in this process.
+    value. A modulus b costs one kernel call per coprime residue, phi(b) of
+    them, so the moduli are dealt in snake order into k = _processes(workers)
+    shares, or one per modulus if there are fewer: of each run of 2k moduli,
+    share i takes the i-th and the (2k-1-i)-th, and sweeps its moduli in
+    order. Over 2..1500 the two shares at k = 2 hold 342,273 and 341,906
+    coprime residues, where round-robin would give one of them every odd
+    modulus, 456,087. _fan_out runs them, the first in this process.
     """
     _check_sweep_args(b_lo, b_hi, workers)
     moduli = [b for b in range(b_lo, b_hi + 1) if b != 3]
     k = min(_processes(workers), len(moduli))
-    return _fan_out(sweep, [moduli[i::k] for i in range(k)])
+    return _fan_out(sweep, [sorted(moduli[i :: 2 * k] + moduli[2 * k - 1 - i :: 2 * k]) for i in range(k)])
 
 
 def _processes(workers: int) -> int:
@@ -200,55 +207,72 @@ def _processes(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def _exit_on(signum: int, frame: object) -> None:
+    """_fan_out's SIGTERM and SIGHUP handler while it has children."""
+    raise SystemExit(128 + signum)
+
+
 def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
     """[fn(x) for x in sorted(every item of shares)], for distinct int items.
 
     shares[0] runs in this process and each other share in a forked child;
     whichever share an item falls in, its result comes back in item order.
     Callers pass at most one share per process that _processes allows, so a
-    single share runs here and nothing forks, and no shares give []. Each
-    child is made by os.fork() itself, whatever the platform's default start
-    method, so it inherits this process as it is, monkeypatches included; it
-    holds only the forking thread, which is safe because cotsum starts no
-    other. Where os.fork does not exist every share runs here, in order. A
-    child's exception is raised here again with its type and args, or, if
-    pickle cannot carry it, as a RuntimeError naming its type and message; a
-    child that dies without a result raises RuntimeError. If this process's
+    single share forks nothing, and no shares give []. Where os.fork does not
+    exist, every item forms one share, which runs here. Each child is made by
+    os.fork() itself, whatever the platform's default start method, so it
+    inherits this process as it is, monkeypatches included; it holds only the
+    forking thread, which is safe because cotsum starts no other. A child's
+    exception is raised here again with its type and args, and a child that
+    dies without a result raises RuntimeError (see _fork). If this process's
     share or a child raises, the children still running are killed and
-    reaped first. A forked share must not call _fan_out with more than one
-    share, so the children are the run's only processes and that kill stops
-    all of them.
+    reaped first. While there are children, a SIGTERM or SIGHUP raises
+    SystemExit(128 + signum) here, so it ends them the same way; the handlers
+    they replace come back when the fan-out ends. Only the main thread may
+    set a handler, so a fan-out in another thread sets none. SIGKILL cannot
+    be caught: it leaves the children running until their shares are done.
+    A forked share must not call _fan_out with more than one share, so the
+    children are the run's only processes and that kill stops all of them.
     """
-    if len(shares) <= 1 or not hasattr(os, "fork"):
-        ran = [[fn(x) for x in share] for share in shares]
-    else:
-        pending = []
-        try:
-            for share in shares[1:]:
-                pending.append(_fork(fn, share))
-            ran = [[fn(x) for x in shares[0]]]
-            while pending:  # popped first: a finish that raises has reaped its child
-                ran.append(pending.pop(0)())
-        except BaseException:
-            for finish in pending:
-                finish(kill=True)
-            raise
+    if not hasattr(os, "fork"):
+        shares = [sum(shares, [])]
+    pending, handlers = [], {}
+    try:
+        if len(shares) > 1 and threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGTERM, signal.SIGHUP):
+                handlers[signum] = signal.signal(signum, _exit_on)
+        for share in shares[1:]:
+            pending.append(_fork(fn, share))
+        ran = [fn(x) for share in shares[:1] for x in share]
+        while pending:  # popped first: a finish that raises has reaped its child
+            ran += pending.pop(0)()
+    except BaseException:
+        for finish in pending:
+            finish(kill=True)
+        raise
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
     # items are distinct, so no two results are compared
-    return [result for _, result in sorted(zip(sum(shares, []), sum(ran, [])))]
+    return [result for _, result in sorted(zip(sum(shares, []), ran))]
 
 
 def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object]:
     """Map fn over share in an os.fork() child and return `finish`, which waits for the list.
 
-    The child pickles (True, results) or (False, exception) into a pipe and
-    leaves through os._exit, so it never returns into its caller; an
-    exception that pickle cannot carry there and back is sent as a
-    RuntimeError naming its type and message. finish()
-    reads the pipe to EOF before it reaps the child, since a result may
-    outgrow the pipe's buffer; finish(kill=True) kills and reaps it instead.
+    The child restores the default SIGTERM and SIGHUP handlers, writes one
+    pickled reply into a pipe, (True, results) or (False, exception), and
+    leaves through os._exit, so it never returns into its caller. A reply that
+    pickle cannot carry there and back goes as a RuntimeError naming its
+    exception, or its list of results, by type and message. So a child that
+    leaves the pipe empty has died, and finish() raises RuntimeError with its
+    wait status. finish() reads the pipe to EOF, since a result may outgrow
+    the pipe's buffer, then kills and reaps the child: one that has written
+    its reply has nothing left to do, and one whose read was cut short, by a
+    signal's SystemExit say, must not run on. finish(kill=True) kills and
+    reaps it without a read.
     """
     import pickle
-    import signal
 
     read, write = os.pipe()
     try:
@@ -258,34 +282,34 @@ def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object
         os.close(write)
         raise
     if pid == 0:
-        code = 1  # a result that cannot be pickled leaves the pipe empty
         try:
+            for signum in (signal.SIGTERM, signal.SIGHUP):
+                signal.signal(signum, signal.SIG_DFL)
             os.close(read)
             try:
-                reply = (True, [fn(x) for x in share])
+                ok, value = True, [fn(x) for x in share]
             except BaseException as exc:
-                reply = (False, exc)
-                try:  # an error that would not arrive as itself arrives by name
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:
-                    reply = (False, RuntimeError(f"a forked share raised {type(exc).__name__}: {exc}"))
-            data = pickle.dumps(reply)
+                ok, value = False, exc
+            try:  # a reply that would not arrive as itself arrives by name
+                data = pickle.dumps((ok, value))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(f"a forked share {'returned' if ok else 'raised'} {type(value).__name__}: {value}")))
             with open(write, "wb") as pipe:
                 pipe.write(data)
-            code = 0
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(write)
 
     def finish(kill: bool = False):
-        if kill:
+        try:
+            with open(read, "rb") as pipe:
+                if kill:
+                    return None
+                data = pipe.read()
+        finally:
             os.kill(pid, signal.SIGKILL)
-            os.close(read)
-            os.waitpid(pid, 0)
-            return None
-        with open(read, "rb") as pipe:
-            data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
+            status = os.waitpid(pid, 0)[1]
         if not data:
             raise RuntimeError(f"a forked share ended without a result (wait status {status})")
         ok, value = pickle.loads(data)

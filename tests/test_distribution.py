@@ -3,11 +3,14 @@
 import errno
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 from math import gcd
 
 import pytest
-from conftest import run_python, traced_peak
+from conftest import child_env, run_python, traced_peak
 
 from cotsum import core, distribution
 from cotsum.distribution import SweepReport, closed_form_counts, sweep, sweep_range
@@ -218,24 +221,35 @@ def test_sweep_range_starts_at_most_one_process_per_cpu_and_modulus(
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
     assert sweep_range(2, b_hi, workers=workers) == serial
     assert ([1 + len(fork_here)] if fork_here else []) == started
-    # the moduli are dealt round-robin: share i is moduli[i::k]. This
-    # process sweeps share 0 itself, after forking the others
+    # the moduli are dealt in snake order: the modulus at position j sits at
+    # r = j % 2k in its run of 2k and goes to share min(r, 2k - 1 - r), each
+    # share in order, so one share is every modulus in order. This process
+    # sweeps share 0 itself, after forking the others
     k = 1 + len(fork_here)
-    assert fork_here == [moduli[i::k] for i in range(1, k)]
-    assert swept == [b for share in fork_here for b in share] + moduli[::k]
+    shares = [[b for j, b in enumerate(moduli) if min(j % (2 * k), 2 * k - 1 - j % (2 * k)) == i] for i in range(k)]
+    assert fork_here == shares[1:]
+    assert swept == [b for share in fork_here for b in share] + shares[0]
 
 
-@pytest.mark.parametrize("k", [2, 3, 7])
-def test_round_robin_shares_carry_about_equal_work(monkeypatch, fork_here, k):
-    # a modulus costs about b, so the shares' sums of b differ by at most
-    # the largest modulus; a stand-in sweep keeps the run cheap
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_snake_shares_hold_about_equal_counts_of_coprime_residues(monkeypatch, fork_here, k):
+    # a modulus b costs one kernel call per coprime residue, euler_phi(b) of
+    # them. Round-robin shares, moduli[i::k], are the bound no share may
+    # pass; at k = 2 one of them is every odd modulus, 1.33 times the mean.
+    # A stand-in sweep keeps the run cheap
     swept = []
     monkeypatch.setattr(distribution, "sweep", swept.append)
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: k)
     sweep_range(2, 1500, workers=k)
-    here = swept[sum(map(len, fork_here)):]
-    sums = [sum(share) for share in [here, *fork_here]]
-    assert len(sums) == k and max(sums) - min(sums) <= 1500, sums
+    shares = [swept[sum(map(len, fork_here)):], *fork_here]
+    moduli = [b for b in range(2, 1501) if b != 3]
+    assert len(shares) == k and sorted(sum(shares, [])) == moduli
+    residues = [sum(map(euler_phi, share)) for share in shares]
+    assert max(residues) <= max(sum(map(euler_phi, moduli[i::k])) for i in range(k)), residues
+    if k in (2, 4):
+        assert max(residues) <= 1.01 * sum(residues) / k, residues
+    if k == 2:
+        assert residues == [342273, 341906]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -315,6 +329,20 @@ def test_fan_out_names_a_childs_error_that_pickle_cannot_carry(exc, message):
     assert type(info.value) is RuntimeError and str(info.value) == f"a forked share raised {message}"
 
 
+@pytest.mark.parametrize(
+    "result,name",
+    [(lambda: None, "<function "), (threading.Lock(), " _thread.lock object "), (_WontUnpickle("x", 5), "_WontUnpickle(")],
+    ids=["dumps-fails-function", "dumps-fails-lock", "loads-fails"],
+)
+def test_fan_out_names_a_childs_result_that_pickle_cannot_carry(result, name):
+    # the share's results arrive as a RuntimeError naming its list of them,
+    # whose text names each result's type
+    with pytest.raises(RuntimeError) as info:
+        distribution._fan_out(lambda x: result if x == 2 else x, [[0], [1, 2, 3]])
+    assert type(info.value) is RuntimeError and str(info.value) == f"a forked share returned list: {[1, result, 3]}"
+    assert name in str(info.value)
+
+
 def test_a_fork_that_fails_closes_its_pipe_and_kills_the_children_already_forked(monkeypatch):
     # os.fork is forked_children_reaped's recording wrapper, so that fixture
     # still checks that the first child is reaped
@@ -377,6 +405,101 @@ def test_fan_out_kills_and_reaps_its_children_when_this_process_share_raises():
     # acceptance battery, which os.waitpid(-1, ...) would see
     proc = run_python("-c", _PARENT_RAISES, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "raised \"this process's share\"\nno child left\n", "")
+
+
+_SIGNALS = (signal.SIGTERM, signal.SIGHUP)
+
+
+def _signal_at(where):
+    """A share function for [[0], [1]] that calls _fan_out's installed SIGTERM handler, as a SIGTERM would.
+
+    "share" calls it in this process's share; "wait" calls it from a SIGALRM
+    while this process waits on the child. The child sleeps.
+    """
+    def handle(*_):
+        signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+
+    def fn(x):
+        if x:
+            time.sleep(60)
+        elif where == "share":
+            handle()
+        else:
+            signal.signal(signal.SIGALRM, handle)
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+        return x
+
+    return fn
+
+
+@pytest.mark.parametrize("where", ["share", "wait"])
+def test_a_signal_while_children_run_kills_them_and_restores_the_handlers(where):
+    # forked_children_reaped fails the test if the sleeping child is not reaped
+    before = [signal.getsignal(signum) for signum in _SIGNALS]
+    alarm = signal.getsignal(signal.SIGALRM)
+    try:
+        with pytest.raises(SystemExit) as info:
+            distribution._fan_out(_signal_at(where), [[0], [1]])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert info.value.code == 128 + signal.SIGTERM
+    assert [signal.getsignal(signum) for signum in _SIGNALS] == before
+
+
+def test_the_handlers_are_set_for_the_children_only_and_only_from_the_main_thread(fork_here):
+    before = [signal.getsignal(signum) for signum in _SIGNALS]
+
+    def handlers(x):
+        return [signal.getsignal(signum) for signum in _SIGNALS]
+
+    assert distribution._fan_out(handlers, [[0, 1]]) == [before, before]  # one share: no children
+    trapped = [distribution._exit_on] * 2
+    assert distribution._fan_out(handlers, [[0], [1]]) == [trapped, trapped]
+    ran = []
+    thread = threading.Thread(target=lambda: ran.append(distribution._fan_out(handlers, [[0], [1]])))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and ran == [[before, before]]
+    assert [signal.getsignal(signum) for signum in _SIGNALS] == before
+
+
+def test_a_forked_child_runs_with_the_default_handlers():
+    handlers = distribution._fan_out(lambda x: [signal.getsignal(signum) for signum in _SIGNALS], [[0], [1]])
+    assert handlers == [[distribution._exit_on] * 2, [signal.SIG_DFL] * 2]
+
+
+_SIGTERM_MID_FAN_OUT = """
+import os, sys, time
+from cotsum import distribution
+
+def share(x):
+    if x:
+        print(os.getpid(), flush=True)
+        time.sleep(1)
+        open(sys.argv[1], "w").close()
+    return x
+
+distribution._fan_out(share, [[0], [1]])
+"""
+
+
+def test_a_sigterm_to_the_caller_ends_its_forked_shares(tmp_path):
+    # in a fresh interpreter, so the signal is a real one: the child prints
+    # its pid, then writes the marker a second later unless it is killed
+    marker = tmp_path / "marker"
+    with subprocess.Popen(
+        [sys.executable, "-c", _SIGTERM_MID_FAN_OUT, str(marker)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+    ) as proc:
+        child = int(proc.stdout.readline())
+        started = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM, proc.stderr.read()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(child, 0)
+    time.sleep(max(0.0, started + 1.5 - time.monotonic()))
+    assert not marker.exists()
 
 
 def test_without_os_fork_every_share_runs_here(monkeypatch):
