@@ -35,8 +35,9 @@ share holds about as many coprime residues, and `verify.run_checks` hands it
 shares of check positions. No job that `_fan_out` forks fans out again (the
 battery's sweep check sweeps its moduli in its own share), so a run forks at
 most one level deep, and killing its children stops every process it
-started. A SIGTERM or SIGHUP that reaches the calling process while it has
-children ends through that same kill.
+started. The calling process never touches a signal's disposition: each
+child watches its caller and leaves within _WATCH_S of it, however the
+caller ends, SIGKILL included.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import os
 import signal
 import threading
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
@@ -207,9 +209,22 @@ def _processes(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _exit_on(signum: int, frame: object) -> None:
-    """_fan_out's SIGTERM and SIGHUP handler while it has children."""
-    raise SystemExit(128 + signum)
+# How often a forked child asks whether its caller still lives. Over 10 runs,
+# 5 with SIGTERM and 5 with SIGKILL to the caller, a sleeping child was gone
+# or a zombie 0-51 ms after its caller was reaped (shared 2-vCPU x86-64 host,
+# Python 3.11). A poll is one getppid call in a thread that otherwise sleeps.
+_WATCH_S = 0.05
+
+
+def _watch(parent: int) -> None:
+    """Poll os.getppid() every _WATCH_S seconds and leave by os._exit once it is not parent.
+
+    A forked child runs it in a daemon thread: an orphan is adopted by
+    another process, so its parent pid changes the moment its caller ends.
+    """
+    while os.getppid() == parent:
+        time.sleep(_WATCH_S)
+    os._exit(1)
 
 
 def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
@@ -221,26 +236,23 @@ def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
     single share forks nothing, and no shares give []. Where os.fork does not
     exist, every item forms one share, which runs here. Each child is made by
     os.fork() itself, whatever the platform's default start method, so it
-    inherits this process as it is, monkeypatches included; it holds only the
-    forking thread, which is safe because cotsum starts no other. A child's
-    exception is raised here again with its type and args, and a child that
-    dies without a result raises RuntimeError (see _fork). If this process's
-    share or a child raises, the children still running are killed and
-    reaped first. While there are children, a SIGTERM or SIGHUP raises
-    SystemExit(128 + signum) here, so it ends them the same way; the handlers
-    they replace come back when the fan-out ends. Only the main thread may
-    set a handler, so a fan-out in another thread sets none. SIGKILL cannot
-    be caught: it leaves the children running until their shares are done.
-    A forked share must not call _fan_out with more than one share, so the
+    inherits this process as it is, monkeypatches included. This process
+    starts no thread, and each child starts only its watch and never forks,
+    so no fork happens with a second thread alive. A child's exception is
+    raised here again with its type and args, and a child that dies without
+    a result raises RuntimeError (see _fork). If this process's share or a
+    child raises, KeyboardInterrupt included, the children still running are
+    killed and reaped first. This process's signal dispositions are left as
+    they are, and the children inherit them: a signal that ends this process,
+    SIGKILL included, ends each child through its watch within _WATCH_S, and
+    one that it ignores, nohup's SIGHUP say, the children ignore too. A
+    forked share must not call _fan_out with more than one share, so the
     children are the run's only processes and that kill stops all of them.
     """
     if not hasattr(os, "fork"):
         shares = [sum(shares, [])]
-    pending, handlers = [], {}
+    pending = []
     try:
-        if len(shares) > 1 and threading.current_thread() is threading.main_thread():
-            for signum in (signal.SIGTERM, signal.SIGHUP):
-                handlers[signum] = signal.signal(signum, _exit_on)
         for share in shares[1:]:
             pending.append(_fork(fn, share))
         ran = [fn(x) for share in shares[:1] for x in share]
@@ -250,9 +262,6 @@ def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
         for finish in pending:
             finish(kill=True)
         raise
-    finally:
-        for signum, handler in handlers.items():
-            signal.signal(signum, handler)
     # items are distinct, so no two results are compared
     return [result for _, result in sorted(zip(sum(shares, []), ran))]
 
@@ -260,20 +269,22 @@ def _fan_out(fn: Callable[[int], object], shares: list[list[int]]) -> list:
 def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object]:
     """Map fn over share in an os.fork() child and return `finish`, which waits for the list.
 
-    The child restores the default SIGTERM and SIGHUP handlers, writes one
-    pickled reply into a pipe, (True, results) or (False, exception), and
-    leaves through os._exit, so it never returns into its caller. A reply that
-    pickle cannot carry there and back goes as a RuntimeError naming its
-    exception, or its list of results, by type and message. So a child that
-    leaves the pipe empty has died, and finish() raises RuntimeError with its
-    wait status. finish() reads the pipe to EOF, since a result may outgrow
-    the pipe's buffer, then kills and reaps the child: one that has written
-    its reply has nothing left to do, and one whose read was cut short, by a
-    signal's SystemExit say, must not run on. finish(kill=True) kills and
-    reaps it without a read.
+    The child starts _watch on this process's pid, read before the fork, so
+    a caller that ends while os.fork() runs is seen too. It keeps the
+    caller's signal dispositions, writes one pickled reply into a pipe,
+    (True, results) or (False, exception), and leaves through os._exit, so
+    it never returns into its caller. A reply that pickle cannot carry there
+    and back goes as a RuntimeError naming its exception, or its list of
+    results, by type and message. So a child that leaves the pipe empty has
+    died, and finish() raises RuntimeError with its wait status. finish()
+    reads the pipe to EOF, since a result may outgrow the pipe's buffer, then
+    kills and reaps the child: one that has written its reply has nothing
+    left to do, and one whose read was cut short, by a KeyboardInterrupt say,
+    must not run on. finish(kill=True) kills and reaps it without a read.
     """
     import pickle
 
+    parent = os.getpid()
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -283,8 +294,7 @@ def _fork(fn: Callable[[int], object], share: list[int]) -> Callable[..., object
         raise
     if pid == 0:
         try:
-            for signum in (signal.SIGTERM, signal.SIGHUP):
-                signal.signal(signum, signal.SIG_DFL)
+            threading.Thread(target=_watch, args=(parent,), daemon=True).start()
             os.close(read)
             try:
                 ok, value = True, [fn(x) for x in share]

@@ -8,7 +8,8 @@ message that never holds CPython's own text for an int too long to print,
 and must finish within _BOUND_S seconds, timed with signal.setitimer.
 
 - Valid arguments run for seconds by design in `run_checks`, `sweep` and
-  `sweep_range`, so their ints are drawn from [-3, 16] only. No draw of any
+  `sweep_range`, so every positional argument of theirs is drawn, none left
+  to its default, and their ints come from [-3, 16] only. No draw of any
   entry is a valid float-sum modulus or gcd-scan width above 40.
 - A result record (every dataclass but `RangeBound`, which takes a caller's
   endpoints) is built from fields of its declared types: ints and
@@ -37,9 +38,10 @@ from cotsum.errors import InvariantError, PreconditionError
 KINDS = (ValueError, PreconditionError, InvariantError)
 LIMIT_TEXT = "Exceeds the limit"
 
-# per call; the dearest draw, run_checks(16, 16) with a forked share, takes
-# about 0.2 s (2-vCPU x86-64 host, Python 3.11). A line tracer, such as
-# tests/line_tracer.py, makes every call several times slower.
+# per call; the dearest draw, run_checks(16, 16, seed, workers), took
+# 0.25-0.45 s over 25 calls at workers 1, 2 and 16, the first of a fresh
+# interpreter included (2-vCPU x86-64 host, Python 3.11). A line tracer, such
+# as tests/line_tracer.py, makes every call several times slower.
 _BOUND_S = 3.0 * (10 if sys.gettrace() else 1)
 
 _HUGE = 10**5000
@@ -115,7 +117,10 @@ def test_every_public_callable_is_drawn():
 @given(data=st.data())
 def test_every_entry_returns_or_raises_a_failure_kind_promptly(name, data):
     least, most = (1, 1) if name == "CotTag" else _arity(getattr(cotsum, name))
-    values = BOUNDED if name in _BOUNDED_ENTRIES else ANY
+    if name in _BOUNDED_ENTRIES:  # every argument drawn: no default-sized battery
+        least, values = most, BOUNDED
+    else:
+        values = ANY
     args = data.draw(st.lists(values, min_size=least, max_size=most), label="args")
     if name in _UNHASHABLE_GAP and not isinstance(args[0], Hashable):
         with pytest.raises(TypeError, match="unhashable"):
