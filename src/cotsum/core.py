@@ -215,4 +215,5 @@ def predicate_plus(a: int, b: int) -> bool:
 def predicate_minus(a: int, b: int) -> bool:
     """True iff S(1, a, b) = -b/2; equivalently a >= ceil((2b+1)/3)."""
     _check_reduced_coprime(a, b)
-    return 0 <= 3 * b - 3 * a - 1 <= b - 2
+    # the witness's lower bound 0 <= 3b - 3a - 1 always holds: a <= b - 1
+    return 3 * b - 3 * a - 1 <= b - 2

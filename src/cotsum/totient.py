@@ -132,6 +132,14 @@ class ArithmeticProfile:
     squarefree_divisors: tuple[tuple[int, int], ...]  # (d, mu(d)) pairs, d ascending
 
     def __post_init__(self) -> None:
+        # each p**e is at least 2**(e * (bit_length(p) - 1)), so a table that
+        # would exceed n is refused before any power is built: a pair like
+        # (2, 10**30) would otherwise exhaust memory in C
+        for p, e in self.prime_powers:
+            check_int("prime", p, 2)
+            check_int("exponent", e, 1)
+        if sum(e * (p.bit_length() - 1) for p, e in self.prime_powers) >= self.n.bit_length():
+            raise InvariantError(f"prime powers reconstruct more than {_shown(self.n)}")
         prod = 1
         phi = self.n
         for p, e in self.prime_powers:

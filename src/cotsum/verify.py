@@ -353,7 +353,7 @@ def _check_sine_sum_frac(ctx: _Ctx) -> Iterator[None]:
             if n % b == 0:
                 n += 1  # keep some residue reachable
             a = _randint(ctx.rng, 1, 3 * b)
-            while (n * a) % b == 0:
+            if (n * a) % b == 0:  # then b cannot divide n*(a + 1), for it does not divide n
                 a += 1
             res = numeric.frac_part_via_sine_sum(n, a, b)
             yield
@@ -531,7 +531,7 @@ def _check_symmetric_sum(ctx: _Ctx) -> Iterator[None]:
         # route a few splits through the public function, which re-checks itself
         for lo in {1, n // 3 + 1, n // 2}:
             hi = n - lo
-            if not 1 <= lo <= hi:
+            if lo > hi:  # lo is at least 1: n >= 2
                 continue
             yield
             if totient.coprime_sum(n, lo, hi, strict=True) != ps[hi] - ps[lo - 1]:

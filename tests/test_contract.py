@@ -13,8 +13,9 @@ and must finish within _BOUND_S seconds, timed with signal.setitimer.
   entry is a valid float-sum modulus or gcd-scan width above 40.
 - A result record (every dataclass but `RangeBound`, which takes a caller's
   endpoints) is built from fields of its declared types: ints and
-  Fractions of any size and sign, any float, a `CotTag`. The factor tables
-  of an `ArithmeticProfile` come from real profiles of n <= 60.
+  Fractions of any size and sign, any float, a `CotTag`. A factor table of
+  an `ArithmeticProfile` is a tuple of such int pairs, or a real profile's
+  table of n <= 60.
 - `CotTag(value)` is the enum module's own lookup, whose refusal prints the
   value with repr; only its kind is checked.
 - `arithmetic_profile` and `euler_phi` raise TypeError for an unhashable n:
@@ -40,8 +41,8 @@ LIMIT_TEXT = "Exceeds the limit"
 
 # per call; the dearest draw, run_checks(16, 16, seed, workers), took
 # 0.25-0.45 s over 25 calls at workers 1, 2 and 16, the first of a fresh
-# interpreter included (2-vCPU x86-64 host, Python 3.11). A line tracer, such
-# as tests/line_tracer.py, makes every call several times slower.
+# interpreter included (2-vCPU x86-64 host, Python 3.11). A sys.settrace
+# tracer, such as a debugger, makes every call several times slower.
 _BOUND_S = 3.0 * (10 if sys.gettrace() else 1)
 
 _HUGE = 10**5000
@@ -60,6 +61,7 @@ _BOUNDED_ENTRIES = {"run_checks", "sweep", "sweep_range"}
 _UNHASHABLE_GAP = {"arithmetic_profile", "euler_phi"}
 
 _PROFILES = [cotsum.arithmetic_profile.__wrapped__(k) for k in range(1, 61)]  # uncached: no test's cache moves
+_PAIRS = st.lists(st.tuples(_INTS, _INTS), max_size=3).map(tuple)
 _FIELDS = {
     "int": _INTS | st.booleans(),
     "Fraction": _FRACTIONS,
@@ -138,5 +140,6 @@ def test_every_record_builds_or_raises_a_failure_kind_promptly(name, data):
         if f.type in _FIELDS:
             kwargs[f.name] = data.draw(_FIELDS[f.type], label=f.name)
         else:  # a factor table of ArithmeticProfile
-            kwargs[f.name] = getattr(data.draw(st.sampled_from(_PROFILES), label=f.name), f.name)
+            real = st.sampled_from(_PROFILES).map(lambda profile, name=f.name: getattr(profile, name))
+            kwargs[f.name] = data.draw(_PAIRS | real, label=f.name)
     _call(name, kwargs=kwargs)

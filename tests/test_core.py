@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -22,6 +23,7 @@ from cotsum.core import (
 )
 from cotsum.errors import InvariantError, PreconditionError
 from cotsum.exact import boundary_count
+from test_verify import MUTANTS
 
 
 SPOT_VALUES = {
@@ -228,6 +230,8 @@ def test_master_witness_type_validates_equation():
         MasterWitness(a=1, b=4, k=0, nu=0, e1k=0, s=Fraction(3))
     with pytest.raises(InvariantError):
         MasterWitness(a=1, b=4, k=5, nu=0, e1k=0, s=Fraction(2))
+    with pytest.raises(InvariantError, match=r"^witness k=-1 outside \[0, 2\]$"):
+        MasterWitness(a=1, b=4, k=-1, nu=0, e1k=0, s=Fraction(2))
     # a value off by 1/2 no longer balances, whatever the witness
     for a, b in [(1, 4), (2, 5), (5, 4), (7, 11)]:
         w = master_witness(a, b)
@@ -317,6 +321,80 @@ def test_eval_exact_matches_fraction_oracle_exhaustive():
 @given(n=st.integers(1, 10**12), a=st.integers(1, 10**12), b=st.integers(2, 10**5))
 def test_eval_exact_matches_fraction_oracle_large(n, a, b):
     assert eval_exact(n, a, b) == oracle_eval(n, a, b)
+
+
+# --- S from its definition, in Q(zeta_b) ------------------------------------
+# With zeta = exp(2 pi i/b), u = zeta^m and v = zeta^(m n a), cot(pi m/b) is
+# i(u + 1)/(u - 1) and sin(2 pi m n a/b) is (v - 1/v)/(2i), so the m-th term
+# of S is -(u + 1)(v - 1/v)^3 / (8(u - 1)). For u of order d,
+# 1/(u - 1) = (1/d) sum_{j<d} j u^j. So 8b S is an integer combination of
+# powers of zeta, and it reduces mod the cyclotomic polynomial Phi_b to a
+# constant exactly when S is rational: 1, zeta, ..., zeta^(phi(b)-1) are a
+# basis of Q(zeta_b) over Q.
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(b):
+    """Phi_b's coefficients, lowest degree first: x^b - 1 divided by Phi_d for each proper divisor d of b."""
+    p = [-1] + [0] * (b - 1) + [1]
+    for d in range(1, b):
+        if b % d == 0:
+            q = _cyclotomic(d)
+            quotient = [0] * (len(p) - len(q) + 1)
+            for i in reversed(range(len(quotient))):  # q is monic, so the division stays in ints
+                quotient[i] = p[i + len(q) - 1]
+                for j, c in enumerate(q):
+                    p[i + j] -= quotient[i] * c
+            p = quotient
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
+def _sums_in_q_zeta(b):
+    """{r: S(n, a, b) for every n*a = r mod b}, summed term by term in Z[zeta_b]."""
+    # sums[s][k] is the coefficient of zeta^k in the sum over m of
+    # (b/d)(1 + u) sum_{j<d} j u^j times zeta^(s m); (v - 1/v)^3 expands to
+    # v^3 - 3v + 3/v - 1/v^3, so 8b S at r is -(sums at 3r, r, -r, -3r)
+    sums = [[0] * b for _ in range(b)]
+    for m in range(1, b):
+        d = b // gcd(m, b)
+        for j in range(1, d):
+            e, w = m * j % b, b // d * j
+            for s, row in enumerate(sums):
+                k = (e + s * m) % b
+                row[k] += w
+                row[(k + m) % b] += w
+    phi = _cyclotomic(b)
+    deg = len(phi) - 1
+    out = {}
+    for r in range(b):
+        t = [sums[3 * r % b][k] - 3 * sums[r][k] + 3 * sums[-r % b][k] - sums[-3 * r % b][k] for k in range(b)]
+        for i in range(b - 1, deg - 1, -1):  # t mod Phi_b, which is monic
+            c, t[i] = t[i], 0
+            for j in range(deg):
+                t[i - deg + j] -= c * phi[j]
+        assert not any(t[1:]), f"S at r={r}, b={b} reduced to a non-constant {t}"
+        out[r] = Fraction(-t[0], 8 * b)
+    return out
+
+
+def _disagreements():
+    """(n, a, b) with n <= 3, a <= b and 2 <= b <= 30 where eval_exact is not the sum in Q(zeta_b)."""
+    return [
+        (n, a, b) for b in range(2, 31) for n in (1, 2, 3) for a in range(1, b + 1)
+        if core.eval_exact(n, a, b) != _sums_in_q_zeta(b)[n * a % b]
+    ]
+
+
+def test_eval_exact_is_the_sum_in_the_cyclotomic_field():
+    assert _disagreements() == []
+
+
+@pytest.mark.parametrize("mutant", ["kernel-plus-b-above-10", "halved-for-even-b"])
+def test_the_sum_in_the_cyclotomic_field_catches_golden_net_mutants(mutant, monkeypatch):
+    module, attr, make = MUTANTS[mutant][:3]
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    assert _disagreements()
 
 
 def test_exact_values_are_fractions():

@@ -558,3 +558,6 @@ def test_sweep_report_rejects_wrong_flag():
     with pytest.raises(InvariantError):
         SweepReport(b=5, phi_b=4, count_zero=2, count_plus=1, count_minus=1,
                     closed_zero=2, closed_plus=1, closed_minus=1, consistent=False)
+    with pytest.raises(InvariantError):  # the zero counts agree, the plus counts do not
+        SweepReport(b=5, phi_b=4, count_zero=2, count_plus=2, count_minus=0,
+                    closed_zero=2, closed_plus=1, closed_minus=1, consistent=True)

@@ -117,6 +117,8 @@ def test_boundary_count_type_rejects_inconsistent_fields():
     with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=2, value=3)  # not a multiple of b
     with pytest.raises(InvariantError):
+        BoundaryCount(n=1, a=1, b=5, k=2, value=-5)  # a negative count
+    with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=0, value=5)  # empty window, nonzero count
     with pytest.raises(InvariantError):
         BoundaryCount(n=1, a=1, b=5, k=3, value=10)  # short window, two multiples

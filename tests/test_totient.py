@@ -1,6 +1,7 @@
 """Coprime counting in ranges: three methods, identities, and the estimate."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -139,6 +140,28 @@ def test_profile_type_validates():
     with pytest.raises(InvariantError, match="^mu does not sum to the n=1 indicator over divisors$"):
         ArithmeticProfile(n=6, prime_powers=((2, 1), (3, 1)), omega=2, mobius=1,
                           euler_phi=2, squarefree_divisors=((1, 1), (2, -1), (3, -1), (6, -1)))
+
+
+class _Exponent(int):
+    """An exponent that refuses to be raised to, so p**e on it fails at once instead of computing."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"computed {base}**{int(self)}")
+
+
+def test_profile_refuses_an_impossible_factor_table_before_any_power():
+    # 2**(10**30) would exhaust memory in C, where no signal reaches it
+    start = time.perf_counter()
+    with pytest.raises(InvariantError, match="^prime powers reconstruct more than 2$"):
+        ArithmeticProfile(2, ((2, _Exponent(10**30)),), 1, -1, 1, ((1, 1), (2, -1)))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="^prime must be an integer >= 2, got 0$"):
+        ArithmeticProfile(6, ((0, 1), (3, 1)), 2, 1, 2, ((1, 1), (2, -1), (3, -1), (6, 1)))
+    with pytest.raises(ValueError, match="^exponent must be an integer >= 1, got 0$"):
+        ArithmeticProfile(6, ((2, 0), (3, 1)), 2, 1, 2, ((1, 1), (2, -1), (3, -1), (6, 1)))
+    # the bound admits every true factorization, and a prime square read as a prime
+    assert ArithmeticProfile(8, ((2, 3),), 1, 0, 4, ((1, 1), (2, -1))).n == 8
+    assert ArithmeticProfile(25, ((25, 1),), 1, -1, 24, ((1, 1), (25, -1))).n == 25
 
 
 # --- range bounds -----------------------------------------------------------
@@ -521,8 +544,10 @@ _E_AT = _ENDPOINT_DIGITS_MAX - 5
         (lambda: legendre_phi(6, f"1e{_E_AT + 1}"), _ENDPOINT_DIGITS_MAX + 1),
         (lambda: RangeBound(1, "1" * (_ENDPOINT_DIGITS_MAX + 1)), _ENDPOINT_DIGITS_MAX + 1),
         (lambda: RangeBound(f"1/{'3' * _ENDPOINT_DIGITS_MAX}", 1), _ENDPOINT_DIGITS_MAX + 1),
+        # past the ceiling on its digits alone, so its exponent is never read
+        (lambda: RangeBound(1, "1" * (_ENDPOINT_DIGITS_MAX - 1) + "e10"), _ENDPOINT_DIGITS_MAX + 1),
     ],
-    ids=["hi", "hi-decimal", "lo-negative", "prefix", "hi-literal", "lo-denominator"],
+    ids=["hi", "hi-decimal", "lo-negative", "prefix", "hi-literal", "lo-denominator", "hi-long-with-exponent"],
 )
 def test_endpoint_text_refuses_an_exponent_over_the_ceiling(call, got):
     # only just over the budget, so a missing check fails here in

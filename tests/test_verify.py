@@ -2,6 +2,7 @@
 and a golden net of whole-report digests, passing and under mutants."""
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -540,6 +541,22 @@ def _empty_span(n, bounds):
     return lo > hi
 
 
+def _classified(change):
+    # classify's record v replaced by change(v)
+    return lambda original: lambda a, b, strict=False: change(original(a, b, strict))
+
+
+def _plus_as_minus(v):
+    # a tag that matches its value but not the predicates
+    return core.CotSumValue(core.CotTag.MINUS_HALF_B, -v.exact) if v.tag is core.CotTag.PLUS_HALF_B else v
+
+
+def _6_read_as_prime(arithmetic_profile):
+    # a profile that validates itself, with one prime where the sieve finds two
+    six = totient.ArithmeticProfile(6, ((6, 1),), 1, -1, 5, ((1, 1), (6, -1)))
+    return lambda n: six if n == 6 else arithmetic_profile(n)
+
+
 # id: (check name, [(module, attribute, mutant of the original)], detail,
 # cases, counterexample)
 FAILURE_BRANCHES = {
@@ -555,6 +572,18 @@ FAILURE_BRANCHES = {
         "trichotomy-and-predicates", [(core, "predicate_plus", lambda original: lambda a, b: True)],
         "predicates must pick exactly one class", 1, {"a": 1, "b": 2, "preds": [True, True, False]},
     ),
+    "trichotomy-tag-against-predicates": (
+        "trichotomy-and-predicates", [(core, "classify", _classified(_plus_as_minus))],
+        "classification left the three-value set", 2, {"a": 1, "b": 4, "tag": "MinusHalfB", "value": "-2"},
+    ),
+    "trichotomy-value-off-the-three": (
+        "trichotomy-and-predicates", [(core, "classify", _classified(lambda v: replace(v, exact=3 * v.exact)))],
+        "classification left the three-value set", 2, {"a": 1, "b": 4, "tag": "PlusHalfB", "value": "6"},
+    ),
+    "even-integrality-not-an-integer": (
+        "even-modulus-integrality", [(core, "eval_exact", _plus(lambda n, a, b: Fraction(1, 2)))],
+        "even b must give an integer with 2S divisible by b", 1, {"a": 1, "b": 2, "value": "1/2"},
+    ),
     "float-oracle-abs-bound": (
         "float-oracle-agreement", [(numeric, "eval_float", _moved((1, 1, 2), abs_bound=lambda r: 0.0))],
         "reported abs_bound below the value", 1,
@@ -564,6 +593,10 @@ FAILURE_BRANCHES = {
         "profile-invariants",
         [(totient, "arithmetic_profile", _moved((6,), squarefree_divisors=lambda r: ((1, 1), (2, 0), (3, 0), (6, -1))))],
         "squarefree divisors must all carry mu = +-1", 6, {"n": 6},
+    ),
+    "profile-omega": (
+        "profile-invariants", [(totient, "arithmetic_profile", _6_read_as_prime)],
+        "profile disagrees with sieve", 6, {"n": 6, "omega": 1, "mobius": -1, "sieve_omega": 2, "sieve_mobius": 1},
     ),
     "prefix-count-compared-once": (
         "prefix-exhaustive-agreement", [(totient, "legendre_phi", _plus_1_once(lambda n, x: x > 0))],
@@ -626,6 +659,29 @@ def test_failure_branch_reports_its_detail_and_counterexample(branch, monkeypatc
     check = {c.name: c for c in verify._CHECKS}[name]
     result = check(verify._Ctx(12, 30, random.Random(0)))
     assert result == verify.CheckResult(check.module, name, False, cases, detail, counterexample)
+
+
+class _Draws(random.Random):
+    """A stream whose getrandbits returns the given values in turn, over and over."""
+
+    def __init__(self, *values):
+        super().__init__()
+        self.values = itertools.cycle(values)
+
+    def getrandbits(self, k):
+        return next(self.values)
+
+
+def test_sine_sum_check_steps_a_off_a_multiple_of_b(monkeypatch):
+    # at b = 2 every n draw reads 1 and every a draw 2, so b divides n*a and
+    # the check must step a to 3 before it sums
+    seen = []
+    original = numeric.frac_part_via_sine_sum
+    monkeypatch.setattr(numeric, "frac_part_via_sine_sum", lambda n, a, b: seen.append((n, a, b)) or original(n, a, b))
+    check = {c.name: c for c in verify._CHECKS}["sine-sum-fractional-part"]
+    result = check(verify._Ctx(2, 30, _Draws(0, 1)))
+    assert (result.passed, result.cases) == (True, 5)
+    assert seen == [(1, 3, 2)] * 5
 
 
 def test_half_open_variant_wrong_above_n_1_breaks_its_pin(monkeypatch):
