@@ -25,21 +25,24 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "cotsum") + os.sep
 
-# (file, function, the source of a condition), or (file, None, None) for a
-# whole file: what this process cannot see or cannot make go both ways. A
-# condition names its branch sites, and for an `if` the lines of its body.
-# They are named, not numbered, so that a line shift leaves the list as it is.
+# What this process cannot see or cannot make go both ways: (file,) for a
+# whole file, or (file, function, header, ...) for one `if`, `while` or `with`
+# statement, named by its function and the headers of the `if`, `while` and
+# `with` statements down to its own. An entry excuses its statement's first
+# conditional jump (an `if`'s test, a `while`'s entry test, a `with`'s exit),
+# and an `if`'s body lines; it must name exactly one statement. It is named,
+# not numbered, so that a line shift leaves the list as it is.
 KNOWN = [
-    ("__main__.py", None, None),  # runs only in a fresh interpreter
-    ("distribution.py", "_fork", "pid == 0"),  # the branch runs only in the forked child
+    ("__main__.py",),  # runs only in a fresh interpreter
+    ("distribution.py", "_fork", "if pid == 0"),  # its body runs only in the forked child
     # loops whose entry test cannot fail: each inner loop is entered after its
     # test held, and _watch's test holds until the caller ends
-    ("totient.py", "_factorize", "n % p == 0"),
-    ("verify.py", "_check_profiles", "m % p == 0"),
-    ("distribution.py", "_watch", "os.getppid() == parent"),
+    ("totient.py", "_factorize", "while p * p <= n", "if n % p == 0", "while n % p == 0"),
+    ("verify.py", "_check_profiles", "while m > 1", "while m % p == 0"),
+    ("distribution.py", "_watch", "while os.getppid() == parent"),
     # a `with` exit that sees an exception only from a failing run, and
     # whose manager never suppresses it
-    ("cli.py", "cmd_verify", "_open_output(args.report)"),
+    ("cli.py", "cmd_verify", "with _open_output(args.report) as out"),
 ]
 
 _mon = sys.monitoring
@@ -80,15 +83,40 @@ def _text(lines: list[str], pos) -> str:
     return " ".join(b" ".join(span).decode().split())
 
 
-def _known_lines(name: str, source: str) -> set[int]:
-    """The lines of the `if` bodies in this file that KNOWN names."""
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef):
-            for branch in ast.walk(node):
-                if isinstance(branch, ast.If) and (name, node.name, ast.unparse(branch.test)) in KNOWN:
-                    lines.update(range(branch.body[0].lineno, branch.body[-1].end_lineno + 1))
-    return lines
+def _statements(node, path=()):
+    """(path, statement) for each `if`, `while` and `with` in a function, path as KNOWN names it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _statements(child, (child.name,))
+            continue
+        here = path
+        if path and isinstance(child, ast.With):
+            here = path + ("with " + ", ".join(ast.unparse(item) for item in child.items),)
+        elif path and isinstance(child, (ast.If, ast.While)):
+            here = path + (f"{type(child).__name__.lower()} {ast.unparse(child.test)}",)
+        if here is not path:
+            yield here, child
+        yield from _statements(child, here)
+
+
+def _excused(name: str, tree: ast.Module) -> tuple[set[tuple], set[int], list[str]]:
+    """The spans of the conditions that KNOWN names in this file, the body lines it
+    excuses, and a complaint for each entry that names no statement or several."""
+    named = {entry[1:]: [] for entry in KNOWN if entry[0] == name and len(entry) > 1}
+    for path, node in _statements(tree):
+        if path in named:
+            named[path].append(node)
+    spans, lines, bad = set(), set(), []
+    for path, nodes in named.items():
+        if len(nodes) != 1:
+            bad.append(f"{name} KNOWN entry {' / '.join(path)} names {len(nodes)} statements")
+            continue
+        node = nodes[0]
+        cond = node.items[0].context_expr if isinstance(node, ast.With) else node.test
+        spans.add((cond.lineno, cond.end_lineno, cond.col_offset, cond.end_col_offset))
+        if isinstance(node, ast.If):
+            lines.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    return spans, lines, bad
 
 
 def _misses(name: str) -> list[tuple[int, str]]:
@@ -96,23 +124,26 @@ def _misses(name: str) -> list[tuple[int, str]]:
     with open(path) as handle:
         source = handle.read()
     lines = source.splitlines()
+    spans, known_lines, bad = _excused(name, ast.parse(source))
     first = {(c.co_qualname, c.co_firstlineno, at): to for (c, at), to in _first.items() if c.co_filename == path}
     both = {(c.co_qualname, c.co_firstlineno, at) for c, at in _both if c.co_filename == path}
-    missed, executable, todo = [], set(), [compile(source, path, "exec", dont_inherit=True)]
+    missed, executable, todo = [(0, text) for text in bad], set(), [compile(source, path, "exec", dont_inherit=True)]
     while todo:
         code = todo.pop()
         todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
         executable.update(line for _, _, line in code.co_lines() if line)
-        previous = None
+        previous, claimed = None, set()
         for ins in dis.get_instructions(code):
             key = (code.co_qualname, code.co_firstlineno, ins.offset)
-            if key in first and key not in both and previous != "CHECK_EXC_MATCH":
+            span = tuple(ins.positions)
+            if ins.opname.startswith("POP_JUMP_IF") and span in spans and span not in claimed:
+                claimed.add(span)  # the first jump of a KNOWN statement
+            elif key in first and key not in both and previous != "CHECK_EXC_MATCH":
                 text = _text(lines, ins.positions)
-                if (name, code.co_name, text) not in KNOWN:
-                    missed.append((ins.positions.lineno, f"{name}:{ins.positions.lineno} {code.co_qualname}: `{text}` only went to offset {first[key]}"))
+                missed.append((ins.positions.lineno, f"{name}:{ins.positions.lineno} {code.co_qualname}: `{text}` only went to offset {first[key]}"))
             previous = ins.opname
     ran = {line for file, line in _ran if file == path}
-    return missed + [(line, f"{name}:{line} never ran") for line in executable - _known_lines(name, source) - ran]
+    return missed + [(line, f"{name}:{line} never ran") for line in executable - known_lines - ran]
 
 
 _missed: list[str] = []
@@ -121,8 +152,9 @@ _missed: list[str] = []
 def pytest_sessionfinish(session: pytest.Session) -> None:
     _mon.set_events(_TOOL, 0)
     _mon.free_tool_id(_TOOL)
+    _missed.extend(f"KNOWN entry {entry} names no file" for entry in KNOWN if not os.path.isfile(SRC + entry[0]))
     for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and (name, None, None) not in KNOWN:
+        if name.endswith(".py") and (name,) not in KNOWN:
             _missed.extend(text for _, text in sorted(_misses(name)))
     if _missed:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -25,7 +25,6 @@ and must finish within _BOUND_S seconds, timed with signal.setitimer.
 import dataclasses
 import inspect
 import signal
-import sys
 from collections.abc import Hashable
 from fractions import Fraction
 
@@ -41,9 +40,8 @@ LIMIT_TEXT = "Exceeds the limit"
 
 # per call; the dearest draw, run_checks(16, 16, seed, workers), took
 # 0.25-0.45 s over 25 calls at workers 1, 2 and 16, the first of a fresh
-# interpreter included (2-vCPU x86-64 host, Python 3.11). A sys.settrace
-# tracer, such as a debugger, makes every call several times slower.
-_BOUND_S = 3.0 * (10 if sys.gettrace() else 1)
+# interpreter included (2-vCPU x86-64 host, Python 3.11)
+_BOUND_S = 3.0
 
 _HUGE = 10**5000
 _SMALL_INTS = st.integers(-40, 40)
