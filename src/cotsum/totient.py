@@ -108,7 +108,8 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     step = 2  # alternate 5,7,11,13,... skipping multiples of 2 and 3
     while p * p <= n:
         if n % p == 0:
-            e = 0
+            n //= p
+            e = 1
             while n % p == 0:
                 n //= p
                 e += 1
@@ -182,12 +183,7 @@ class ArithmeticProfile:
 # caller rotate over a couple of hundred large n and keep its hits. A hit
 # costs the same 0.1 us bounded or not.
 @lru_cache(maxsize=256)
-def arithmetic_profile(n: int) -> ArithmeticProfile:
-    """Factorization-derived data for n, memoized for the last 256 distinct n.
-
-    n is at most _FACTOR_MAX (10^14); a larger n raises ValueError.
-    """
-    check_int("n", n, 1, _FACTOR_MAX)
+def _profile(n: int) -> ArithmeticProfile:
     pp = _factorize(n)
     phi = n
     for p, _ in pp:
@@ -204,6 +200,20 @@ def arithmetic_profile(n: int) -> ArithmeticProfile:
         euler_phi=phi,
         squarefree_divisors=tuple(divs),
     )
+
+
+def arithmetic_profile(n: int) -> ArithmeticProfile:
+    """Factorization-derived data for n, memoized for the last 256 distinct n.
+
+    n is at most _FACTOR_MAX (10^14); a larger n raises ValueError. n is
+    checked before the cache hashes it, so an unhashable n is refused too.
+    """
+    check_int("n", n, 1, _FACTOR_MAX)
+    return _profile(n)
+
+
+arithmetic_profile.cache_info = _profile.cache_info
+arithmetic_profile.cache_clear = _profile.cache_clear
 
 
 def euler_phi(n: int) -> int:

@@ -375,7 +375,8 @@ def _check_profiles(ctx: _Ctx) -> Iterator[None]:
         while m > 1:
             p = spf[m]
             om += 1
-            e = 0
+            m //= p
+            e = 1
             while m % p == 0:
                 m //= p
                 e += 1

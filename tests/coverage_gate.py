@@ -9,10 +9,13 @@ when pytest imports it, before any cotsum import. An event is disabled once
 seen, a branch's once its site has gone both ways, and other code's at once.
 At the session's end each line that compiles to bytecode but never ran, and
 each branch site that ran only one way, fails the run unless KNOWN names it.
-One rule needs no name: an `except` clause's type test (a jump right after
-CHECK_EXC_MATCH) may only ever match, since an exception that no clause
-matches fails a test. A site that never ran is left to the lines: on a line
-that ran, only a jump on an exception's path can be missed that way.
+Two rules need no name, each a jump on an exception's path: an `except`
+clause's type test (right after CHECK_EXC_MATCH) may only ever match, since
+an exception that no clause matches fails a test, and a `with` exit's
+suppress test (right after WITH_EXCEPT_START; 3.13 puts a TO_BOOL between)
+may only ever re-raise, since no context manager cotsum uses suppresses one.
+A site that never ran is left to the lines: on a line that ran, only a jump
+on an exception's path can be missed that way.
 """
 
 import ast
@@ -25,25 +28,16 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "cotsum") + os.sep
 
-# What this process cannot see or cannot make go both ways: (file,) for a
-# whole file, or (file, function, header, ...) for one `if`, `while` or `with`
-# statement, named by its function and the headers of the `if`, `while` and
-# `with` statements down to its own. An entry excuses its statement's first
-# conditional jump (an `if`'s test, a `while`'s entry test, a `with`'s exit),
-# and an `if`'s body lines; it must name exactly one statement. It is named,
-# not numbered, so that a line shift leaves the list as it is.
+# What the pytest process cannot run: (file, function, header, ...) for one
+# `if` statement, named by its function and the headers of the `if`
+# statements down to its own. An entry excuses the statement's test and its
+# body's lines; it must name exactly one statement. It is named, not
+# numbered, so that a line shift leaves the list as it is.
 KNOWN = [
-    ("__main__.py",),  # runs only in a fresh interpreter
     ("distribution.py", "_fork", "if pid == 0"),  # its body runs only in the forked child
-    # loops whose entry test cannot fail: each inner loop is entered after its
-    # test held, and _watch's test holds until the caller ends
-    ("totient.py", "_factorize", "while p * p <= n", "if n % p == 0", "while n % p == 0"),
-    ("verify.py", "_check_profiles", "while m > 1", "while m % p == 0"),
-    ("distribution.py", "_watch", "while os.getppid() == parent"),
-    # a `with` exit that sees an exception only from a failing run, and
-    # whose manager never suppresses it
-    ("cli.py", "cmd_verify", "with _open_output(args.report) as out"),
 ]
+# the op before a jump (TO_BOOL passed over) that puts it on an exception's path
+_ONE_WAY_AFTER = {"CHECK_EXC_MATCH", "WITH_EXCEPT_START"}
 
 _mon = sys.monitoring
 # PEP 669 names 0, 1, 2 and 5 (debugger, coverage, profiler, optimizer), and
@@ -84,25 +78,22 @@ def _text(lines: list[str], pos) -> str:
 
 
 def _statements(node, path=()):
-    """(path, statement) for each `if`, `while` and `with` in a function, path as KNOWN names it."""
+    """(path, statement) for each `if` in a function, path as KNOWN names it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from _statements(child, (child.name,))
             continue
         here = path
-        if path and isinstance(child, ast.With):
-            here = path + ("with " + ", ".join(ast.unparse(item) for item in child.items),)
-        elif path and isinstance(child, (ast.If, ast.While)):
-            here = path + (f"{type(child).__name__.lower()} {ast.unparse(child.test)}",)
-        if here is not path:
+        if path and isinstance(child, ast.If):
+            here = path + (f"if {ast.unparse(child.test)}",)
             yield here, child
         yield from _statements(child, here)
 
 
 def _excused(name: str, tree: ast.Module) -> tuple[set[tuple], set[int], list[str]]:
-    """The spans of the conditions that KNOWN names in this file, the body lines it
+    """The spans of the tests that KNOWN names in this file, the body lines it
     excuses, and a complaint for each entry that names no statement or several."""
-    named = {entry[1:]: [] for entry in KNOWN if entry[0] == name and len(entry) > 1}
+    named = {entry[1:]: [] for entry in KNOWN if entry[0] == name}
     for path, node in _statements(tree):
         if path in named:
             named[path].append(node)
@@ -111,11 +102,9 @@ def _excused(name: str, tree: ast.Module) -> tuple[set[tuple], set[int], list[st
         if len(nodes) != 1:
             bad.append(f"{name} KNOWN entry {' / '.join(path)} names {len(nodes)} statements")
             continue
-        node = nodes[0]
-        cond = node.items[0].context_expr if isinstance(node, ast.With) else node.test
-        spans.add((cond.lineno, cond.end_lineno, cond.col_offset, cond.end_col_offset))
-        if isinstance(node, ast.If):
-            lines.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+        test, body = nodes[0].test, nodes[0].body
+        spans.add((test.lineno, test.end_lineno, test.col_offset, test.end_col_offset))
+        lines.update(range(body[0].lineno, body[-1].end_lineno + 1))
     return spans, lines, bad
 
 
@@ -138,10 +127,11 @@ def _misses(name: str) -> list[tuple[int, str]]:
             span = tuple(ins.positions)
             if ins.opname.startswith("POP_JUMP_IF") and span in spans and span not in claimed:
                 claimed.add(span)  # the first jump of a KNOWN statement
-            elif key in first and key not in both and previous != "CHECK_EXC_MATCH":
+            elif key in first and key not in both and previous not in _ONE_WAY_AFTER:
                 text = _text(lines, ins.positions)
                 missed.append((ins.positions.lineno, f"{name}:{ins.positions.lineno} {code.co_qualname}: `{text}` only went to offset {first[key]}"))
-            previous = ins.opname
+            if ins.opname != "TO_BOOL":
+                previous = ins.opname
     ran = {line for file, line in _ran if file == path}
     return missed + [(line, f"{name}:{line} never ran") for line in executable - known_lines - ran]
 
@@ -154,7 +144,7 @@ def pytest_sessionfinish(session: pytest.Session) -> None:
     _mon.free_tool_id(_TOOL)
     _missed.extend(f"KNOWN entry {entry} names no file" for entry in KNOWN if not os.path.isfile(SRC + entry[0]))
     for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and (name,) not in KNOWN:
+        if name.endswith(".py"):
             _missed.extend(text for _, text in sorted(_misses(name)))
     if _missed:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -4,15 +4,19 @@ Every test drives the CLI through `conftest.run_cli`, which returns what
 `python -m cotsum` would: the exit code, stdout and stderr. One test runs
 `cotsum/__main__.py` in a fresh interpreter per subcommand, as
 `python -m cotsum` does, and checks that the runner agrees with it byte for
-byte. The classify predicate table calls `cli.cmd_classify`
-directly: a parser per call would cost seconds over its 5,500 operands.
+byte; another runs it in this process, as a script and as an import. The
+classify predicate table calls `cli.cmd_classify` directly: a parser per
+call would cost seconds over its 5,500 operands.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import runpy
+import sys
 from math import gcd
 
 import pytest
@@ -326,6 +330,20 @@ def test_python_m_cotsum_writes_what_the_in_process_runner_writes(argv, monkeypa
     proc = run_python("-c", _MAIN_ON_2_CPUS, *argv)
     assert proc.returncode == 0, proc.stderr
     assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2]
+
+
+def test_the_main_module_runs_main_as_a_script_and_nothing_on_import(monkeypatch, capsys):
+    # __main__.py in this process: run as `python -m cotsum` runs it, then
+    # imported, when its one test is false
+    argv = ("eval", "-n", "2", "-a", "3", "-b", "7")
+    monkeypatch.setattr(sys, "argv", ["cotsum", *argv])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("cotsum", run_name="__main__", alter_sys=True)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == run_cli(*argv)[1]
+    monkeypatch.delitem(sys.modules, "cotsum.__main__", raising=False)
+    importlib.import_module("cotsum.__main__")
+    assert capsys.readouterr() == ("", "")
 
 
 # --- ceilings, early refusals and a property over main ----------------------

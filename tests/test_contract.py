@@ -18,14 +18,11 @@ and must finish within _BOUND_S seconds, timed with signal.setitimer.
   table of n <= 60.
 - `CotTag(value)` is the enum module's own lookup, whose refusal prints the
   value with repr; only its kind is checked.
-- `arithmetic_profile` and `euler_phi` raise TypeError for an unhashable n:
-  lru_cache hashes n before `check_int` sees it.
 """
 
 import dataclasses
 import inspect
 import signal
-from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -33,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cotsum
+from cotsum import totient
 from cotsum.errors import InvariantError, PreconditionError
 
 KINDS = (ValueError, PreconditionError, InvariantError)
@@ -56,9 +54,8 @@ _OTHERS = st.booleans() | st.floats() | st.text(max_size=6) | _FRACTIONS | st.no
 ANY = _INTS | _OTHERS
 BOUNDED = st.integers(-3, 16) | _OTHERS
 _BOUNDED_ENTRIES = {"run_checks", "sweep", "sweep_range"}
-_UNHASHABLE_GAP = {"arithmetic_profile", "euler_phi"}
 
-_PROFILES = [cotsum.arithmetic_profile.__wrapped__(k) for k in range(1, 61)]  # uncached: no test's cache moves
+_PROFILES = [totient._profile.__wrapped__(k) for k in range(1, 61)]  # uncached: no test's cache moves
 _PAIRS = st.lists(st.tuples(_INTS, _INTS), max_size=3).map(tuple)
 _FIELDS = {
     "int": _INTS | st.booleans(),
@@ -122,10 +119,6 @@ def test_every_entry_returns_or_raises_a_failure_kind_promptly(name, data):
     else:
         values = ANY
     args = data.draw(st.lists(values, min_size=least, max_size=most), label="args")
-    if name in _UNHASHABLE_GAP and not isinstance(args[0], Hashable):
-        with pytest.raises(TypeError, match="unhashable"):
-            _call(name, args)
-        return
     _call(name, args)
 
 

@@ -421,10 +421,12 @@ def test_the_caller_and_its_children_keep_the_callers_signal_dispositions():
     assert during == [[signal.SIG_DFL, signal.SIG_IGN]] * 2 and after == [signal.SIG_DFL, signal.SIG_IGN]
 
 
-def test_a_childs_watch_polls_its_parent_and_leaves_once_the_parent_changes(monkeypatch):
+@pytest.mark.parametrize("polls", [0, 2])
+def test_a_childs_watch_polls_its_parent_and_leaves_once_the_parent_changes(monkeypatch, polls):
     # _watch runs only in forked children, so here it runs on stand-ins: the
-    # parent pid reads 100 twice, then 1, as when an orphan is adopted
-    ppids, slept, exits = iter([100, 100, 1]), [], []
+    # parent pid reads 100 polls times, then 1, as when an orphan is adopted;
+    # at 0 the caller is gone before the first poll
+    ppids, slept, exits = iter([100] * polls + [1]), [], []
 
     def leave(code):
         exits.append(code)
@@ -435,7 +437,7 @@ def test_a_childs_watch_polls_its_parent_and_leaves_once_the_parent_changes(monk
     monkeypatch.setattr(distribution.os, "_exit", leave)
     with pytest.raises(SystemExit):
         distribution._watch(100)
-    assert slept == [distribution._WATCH_S] * 2 and exits == [1]
+    assert slept == [distribution._WATCH_S] * polls and exits == [1]
 
 
 _SHARE_OUTLIVES_CALLER = """

@@ -70,7 +70,7 @@ def test_profile_cache_is_bounded():
     # n = 1..4744 were evicted; a re-read is a miss that refactors n afresh
     for n in (1, 12, 30, 97, 360, 2310):
         misses = arithmetic_profile.cache_info().misses
-        assert arithmetic_profile(n) == arithmetic_profile.__wrapped__(n)
+        assert arithmetic_profile(n) == totient._profile.__wrapped__(n)
         assert arithmetic_profile.cache_info().misses == misses + 1
 
 
@@ -568,12 +568,12 @@ def test_endpoint_text_at_the_exponent_ceiling_parses():
 
 
 def test_profile_cache_answers_only_for_ints():
-    # 2.0 == 2 and True == 1, but lru_cache keys a lone int by itself and
-    # anything else by a tuple, so they miss the cached profiles of 2 and 1
-    # and reach the argument check
+    # 2.0 == 2 and True == 1, and 1 and 2 are cached, but n is checked
+    # before the cache sees it: neither is answered from the cache, and an
+    # unhashable n is refused, not hashed
     arithmetic_profile(1)
     arithmetic_profile(2)
-    for n in (True, 2.0):
+    for n in (True, 2.0, [2]):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             arithmetic_profile(n)
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
