@@ -23,7 +23,10 @@ computes that (numerator, denominator) pair, and one private tag rule reads
 the three-way tag off it by comparing 2*numerator with 0 and with
 +-b*denominator. `eval_exact` and `classify` build their `Fraction` once,
 from the kernel's pair, at the API edge; `distribution.sweep` tallies tags
-from the same kernel and rule without building one.
+from the same kernel and rule without building one. Like every private name
+another module uses, both are read through this module at call time, so a
+patch of `core._kernel` or `core._tag` reaches every caller, the sweep
+included; `master_witness` reads `exact._boundary_value` the same way.
 
 For n = 1, gcd(a, b) = 1 and b != 3 the value is forced into {0, +b/2, -b/2},
 and which of the three happens is decided by where the unique witness
@@ -48,8 +51,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError, _shown, check_operands
-from .exact import _boundary_value
+from . import exact
+from .errors import InvariantError, PreconditionError, check_operands, shown
 
 __all__ = [
     "CotTag",
@@ -87,7 +90,7 @@ class CotSumValue:
             or (tag is CotTag.PLUS_HALF_B and num <= 0)
             or (tag is CotTag.MINUS_HALF_B and num >= 0)
         ):
-            raise InvariantError(f"tag {tag.value} inconsistent with value {_shown(self.exact)}")
+            raise InvariantError(f"tag {tag.value} inconsistent with value {shown(self.exact)}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,11 @@ class MasterWitness:
 
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.b - 2:
-            raise InvariantError(f"witness k={_shown(self.k)} outside [0, {_shown(self.b - 2)}]")
+            raise InvariantError(f"witness k={shown(self.k)} outside [0, {shown(self.b - 2)}]")
         # 2*s must equal the integer rest; cross-multiplied, so no Fraction
         rest = (3 * self.nu + 2) * self.b - (3 * self.a + self.k + 1) - 3 * self.e1k
         if rest * self.s.denominator != 2 * self.s.numerator:
-            raise InvariantError(f"witness books do not balance: 2*s = {_shown(2 * self.s)}, the rest is {_shown(rest)}")
+            raise InvariantError(f"witness books do not balance: 2*s = {shown(2 * self.s)}, the rest is {shown(rest)}")
 
 
 # classify's tags in the order of the tag rule's indices
@@ -166,7 +169,7 @@ def classify(a: int, b: int, strict: bool = False) -> CotSumValue:
             raise PreconditionError("b = 3 admits values outside {0, +b/2, -b/2}")
         g = math.gcd(a, b)
         if g != 1:
-            raise PreconditionError(f"gcd(a, b) = {_shown(g)}; classification needs gcd(a, b) = 1")
+            raise PreconditionError(f"gcd(a, b) = {shown(g)}; classification needs gcd(a, b) = 1")
     num, den = _kernel(a, b)
     return CotSumValue(tag=_TAGS[_tag(num, den, b)], exact=Fraction(num, den))
 
@@ -181,10 +184,10 @@ def master_witness(a: int, b: int) -> MasterWitness:
     """
     check_operands(1, a, b)
     if (3 * a) % b == 0:
-        raise PreconditionError(f"no witness k: {_shown(b)} divides 3*{_shown(a)}")
+        raise PreconditionError(f"no witness k: {shown(b)} divides 3*{shown(a)}")
     k = (-3 * a - 1) % b  # lands in [0, b-2] exactly because b does not divide 3a
     nu = (a + k) // b
-    e1k = _boundary_value(a, b, k)  # E(1, k), the boundary count of (a, a + k]
+    e1k = exact._boundary_value(a, b, k)  # E(1, k), the boundary count of (a, a + k]
     s = Fraction((3 * nu + 2) * b - (3 * a + k + 1) - 3 * e1k, 2)
     return MasterWitness(a=a, b=b, k=k, nu=nu, e1k=e1k, s=s)
 
@@ -194,10 +197,10 @@ def _check_reduced_coprime(a: int, b: int) -> None:
     if b == 3:
         raise PreconditionError("the three-way predicates exclude b = 3")
     if a >= b:
-        raise PreconditionError(f"predicates take a reduced residue, need 1 <= a <= {_shown(b - 1)}")
+        raise PreconditionError(f"predicates take a reduced residue, need 1 <= a <= {shown(b - 1)}")
     g = math.gcd(a, b)
     if g != 1:
-        raise PreconditionError(f"gcd(a, b) = {_shown(g)}; predicates need gcd(a, b) = 1")
+        raise PreconditionError(f"gcd(a, b) = {shown(g)}; predicates need gcd(a, b) = 1")
 
 
 def predicate_zero(a: int, b: int) -> bool:

@@ -12,7 +12,9 @@ are the coprime counts of those three intervals, each an inclusion-exclusion
 count over the squarefree divisors of b (`totient._mobius_count`). A sweep
 evaluates S(1, a, b) for every coprime a by the integer kernel of `core`,
 tallies the observed tags against the closed forms and reports whether they
-match.
+match. It reads `core._kernel` and `core._tag` once per call, and the closed
+forms read `totient._mobius_count` at each call: this module binds no other
+module's private name, so a patch of the defining module reaches the sweep.
 
 The sweep finds its coprime residues with a sieve, not a gcd per residue. It
 walks a = 1..b-1 in blocks of _BLOCK residues, each with a bytearray of live
@@ -50,9 +52,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
 
-from . import totient
-from .core import _kernel, _tag
-from .errors import InvariantError, PreconditionError, _shown, check_int
+from . import core, totient
+from .errors import InvariantError, PreconditionError, check_int, shown
 
 __all__ = ["SweepReport", "closed_form_counts", "sweep", "sweep_range"]
 
@@ -76,7 +77,7 @@ class SweepReport:
             and self.count_minus == self.closed_minus
         )
         if self.consistent != matches:
-            raise InvariantError(f"consistent flag wrong for b={_shown(self.b)}")
+            raise InvariantError(f"consistent flag wrong for b={shown(self.b)}")
 
 
 # A sweep sieves every residue a in [1, b-1] of each modulus and classifies
@@ -104,7 +105,7 @@ def _check_residues(b_lo: int, b_hi: int) -> None:
     count = (b_hi - b_lo + 1) * (b_lo + b_hi - 2) // 2 - (2 if b_lo <= 3 <= b_hi else 0)
     if count > _SWEEP_MAX:
         raise ValueError(
-            f"a sweep classifies at most {_SWEEP_MAX} residues, got {_shown(count)} for b in [{_shown(b_lo)}, {_shown(b_hi)}]"
+            f"a sweep classifies at most {_SWEEP_MAX} residues, got {shown(count)} for b in [{shown(b_lo)}, {shown(b_hi)}]"
         )
 
 
@@ -142,6 +143,7 @@ def sweep(b: int) -> SweepReport:
     if b == 3:
         raise PreconditionError("b = 3 has no three-way split to sweep")
     _check_residues(b, b)
+    kernel, tag = core._kernel, core._tag  # read at each call, so a patch of core reaches the sweep
     counts = [0, 0, 0, 0]  # indexed by core._tag: zero, plus, minus, other
     primes: list[int] = []  # the prime divisors of b met so far
     for lo in range(1, b, _BLOCK):
@@ -153,10 +155,10 @@ def sweep(b: int) -> SweepReport:
         # block clears its later multiples before they come up
         for a in compress(range(lo, hi), live):
             if b % a or a == 1:
-                # unpacked into names, not _tag(*_kernel(a, b), b): a star-call
+                # unpacked into names, not tag(*kernel(a, b), b): a star-call
                 # builds an argument tuple on every residue
-                num, den = _kernel(a, b)
-                counts[_tag(num, den, b)] += 1
+                num, den = kernel(a, b)
+                counts[tag(num, den, b)] += 1
             else:  # a live divisor of b: its next prime divisor
                 primes.append(a)
                 _clear(live, a - lo, a)

@@ -8,7 +8,7 @@ an integer argument, its floor and its ceiling both, and `check_operands`
 applies it to the operands of S(n, a, b) in the order n, a, b for every entry
 that takes them, with the ceiling on b of an entry that has one.
 
-Every message that prints a caller's number prints it through `_shown`, so a
+Every message that prints a caller's number prints it through `shown`, so a
 refusal keeps its kind and names its argument at any size: CPython will not
 turn an int of more than sys.get_int_max_str_digits() digits (4,300 by
 default) into text, and raises its own ValueError, naming no argument, when
@@ -26,7 +26,7 @@ class InvariantError(Exception):
     """A result failed the self-check of a proven identity: a bug, not a bad argument."""
 
 
-def _shown(value: object, form: Callable[[object], str] = format) -> str:
+def shown(value: object, form: Callable[[object], str] = format) -> str:
     """value as a message prints it (`format` for `{value}`, `repr` for `{value!r}`), or its size.
 
     The size stands in only where CPython refuses to print the value: an int
@@ -54,10 +54,10 @@ def check_int(what: str, value: object, least: int | None = None, most: int | No
     if type(value) is int and (least is None or value >= least) and (most is None or value <= most):
         return
     if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {_shown(least)}"
-        raise ValueError(f"{what} must be an integer{bound}, got {_shown(value, repr)}")
+        bound = "" if least is None else f" >= {shown(least)}"
+        raise ValueError(f"{what} must be an integer{bound}, got {shown(value, repr)}")
     if most is not None and value > most:
-        raise ValueError(f"{what} must be at most {most}, got {_shown(value)}")
+        raise ValueError(f"{what} must be at most {most}, got {shown(value)}")
 
 
 def check_operands(n: object, a: object, b: object, most_b: int | None = None) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, _shown, check_int, check_operands
+from .errors import InvariantError, check_int, check_operands, shown
 
 __all__ = [
     "BoundaryCount",
@@ -46,12 +46,12 @@ class BoundaryCount:
     def __post_init__(self) -> None:
         # value is b times a count, so it is a non-negative multiple of b >= 2
         if self.b < 2 or self.value < 0 or self.value % self.b != 0:
-            raise InvariantError(f"boundary count {_shown(self.value)} is not a non-negative multiple of {_shown(self.b)}")
+            raise InvariantError(f"boundary count {shown(self.value)} is not a non-negative multiple of {shown(self.b)}")
         if self.k == 0 and self.value != 0:
             raise InvariantError("empty window must have count 0")
         # a window shorter than b holds at most one multiple of b
         if self.k <= self.b - 1 and self.value not in (0, self.b):
-            raise InvariantError(f"window of length {_shown(self.k)} < b cannot hold count {_shown(self.value // self.b)}")
+            raise InvariantError(f"window of length {shown(self.k)} < b cannot hold count {shown(self.value // self.b)}")
 
     @property
     def multiples(self) -> int:

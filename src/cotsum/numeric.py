@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .errors import InvariantError, PreconditionError, _shown, check_int, check_operands
+from .errors import InvariantError, PreconditionError, check_int, check_operands, shown
 
 __all__ = [
     "NumericResult",
@@ -65,11 +65,11 @@ class NumericResult:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
-            raise InvariantError(f"non-finite sum {_shown(self.value, repr)}")
+            raise InvariantError(f"non-finite sum {shown(self.value, repr)}")
         if self.term_count < 1:
-            raise InvariantError(f"term_count must be >= 1, got {_shown(self.term_count)}")
+            raise InvariantError(f"term_count must be >= 1, got {shown(self.term_count)}")
         if self.abs_bound < 0.0:
-            raise InvariantError(f"abs_bound must be >= 0, got {_shown(self.abs_bound)}")
+            raise InvariantError(f"abs_bound must be >= 0, got {shown(self.abs_bound)}")
 
 
 def tol(b: int) -> float:
@@ -216,7 +216,7 @@ def frac_part_via_sine_sum(n: int, a: int, b: int) -> NumericResult:
     check_operands(n, a, b, _FLOAT_MAX_B)  # the limit comes before the precondition
     r = n * a % b
     if r == 0:
-        raise PreconditionError(f"{_shown(b)} divides {_shown(n)}*{_shown(a)}; the sine sum degenerates")
+        raise PreconditionError(f"{shown(b)} divides {shown(n)}*{shown(a)}; the sine sum degenerates")
     inner = _cot_sum(b, "sin", r)
     return NumericResult(
         value=0.5 - inner.value / (2.0 * b),

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .errors import InvariantError, PreconditionError, _shown, check_int
+from .errors import InvariantError, PreconditionError, check_int, shown
 
 __all__ = [
     "ArithmeticProfile",
@@ -81,7 +81,7 @@ _SCAN_MAX = 10**7
 def _check_scan(lo: int, hi: int) -> None:
     if hi - lo + 1 > _SCAN_MAX:
         raise ValueError(
-            f"a gcd scan covers at most {_SCAN_MAX} integers, got {_shown(hi - lo + 1)} in [{_shown(lo)}, {_shown(hi)}]"
+            f"a gcd scan covers at most {_SCAN_MAX} integers, got {shown(hi - lo + 1)} in [{shown(lo)}, {shown(hi)}]"
         )
 
 
@@ -140,16 +140,16 @@ class ArithmeticProfile:
             check_int("prime", p, 2)
             check_int("exponent", e, 1)
         if sum(e * (p.bit_length() - 1) for p, e in self.prime_powers) >= self.n.bit_length():
-            raise InvariantError(f"prime powers reconstruct more than {_shown(self.n)}")
+            raise InvariantError(f"prime powers reconstruct more than {shown(self.n)}")
         prod = 1
         phi = self.n
         for p, e in self.prime_powers:
             prod *= p**e
             phi -= phi // p
         if prod != self.n:
-            raise InvariantError(f"prime powers reconstruct {_shown(prod)}, not {_shown(self.n)}")
+            raise InvariantError(f"prime powers reconstruct {shown(prod)}, not {shown(self.n)}")
         if phi != self.euler_phi:
-            raise InvariantError(f"euler_phi {_shown(self.euler_phi)} disagrees with the product formula {_shown(phi)}")
+            raise InvariantError(f"euler_phi {shown(self.euler_phi)} disagrees with the product formula {shown(phi)}")
         if self.omega != len(self.prime_powers):
             raise InvariantError("omega disagrees with the factor list")
         squarefree = all(e == 1 for _, e in self.prime_powers)
@@ -283,7 +283,7 @@ def _endpoint(value: RationalLike, what: str = "range endpoint") -> Fraction:
     # silently stand for a different range than the caller wrote
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(
-            f"{what} must be an int, str or Fraction, got {type(value).__name__} {_shown(value, repr)}"
+            f"{what} must be an int, str or Fraction, got {type(value).__name__} {shown(value, repr)}"
         )
     if isinstance(value, str):
         _check_digits(value, what)
@@ -314,7 +314,7 @@ class RangeBound:
             hi = _endpoint(hi)
             object.__setattr__(self, "hi", hi)
         if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
-            raise ValueError(f"bounds out of order: {_shown(lo)} > {_shown(hi)}")
+            raise ValueError(f"bounds out of order: {shown(lo)} > {shown(hi)}")
 
     def integer_span(self) -> tuple[int, int]:
         """(ceil(lo), floor(hi)); first > second means no integers inside."""
@@ -327,7 +327,7 @@ def _check_positive_range(n: int, bounds: RangeBound) -> None:
     if not isinstance(bounds, RangeBound):
         raise ValueError(f"bounds must be a RangeBound, got {type(bounds).__name__}")
     if bounds.lo.numerator <= 0:
-        raise ValueError(f"range must sit inside the positive reals, got lo = {_shown(bounds.lo)}")
+        raise ValueError(f"range must sit inside the positive reals, got lo = {shown(bounds.lo)}")
 
 
 def phi_range_direct(n: int, bounds: RangeBound) -> int:
@@ -389,7 +389,7 @@ def legendre_phi(n: int, x: RationalLike) -> int:
             x = _endpoint(x, "prefix bound")
         num, den = x.numerator, x.denominator
     if num < 0:
-        raise ValueError(f"prefix bound must be >= 0, got {_shown(x)}")
+        raise ValueError(f"prefix bound must be >= 0, got {shown(x)}")
     total = 0
     for d, mu in arithmetic_profile(n).squarefree_divisors:
         total += mu * (num // (den * d))
@@ -409,7 +409,7 @@ class PhiDecomposition:
 
     def __post_init__(self) -> None:
         if self.endpoint not in (0, 1):
-            raise InvariantError(f"endpoint indicator must be 0 or 1, got {_shown(self.endpoint)}")
+            raise InvariantError(f"endpoint indicator must be 0 or 1, got {shown(self.endpoint)}")
 
     @property
     def combined(self) -> int:
@@ -462,8 +462,8 @@ class PhiApproximation:
             raise InvariantError("error field must equal exact - estimate")
         if abs(err.numerator) > self.bound * err.denominator:
             raise InvariantError(
-                f"error {_shown(self.error)} exceeds bound {_shown(self.bound)} for n={_shown(self.n)},"
-                f" [{_shown(self.lo)}, {_shown(self.hi)}]"
+                f"error {shown(self.error)} exceeds bound {shown(self.bound)} for n={shown(self.n)},"
+                f" [{shown(self.lo)}, {shown(self.hi)}]"
             )
 
 
@@ -502,8 +502,8 @@ def divisor_partition_identity(n: int, lo: int, hi: int) -> int:
         total += _mobius_count(n // d, lo, d, hi, d, 1)
     if total != hi - lo + 1:
         raise InvariantError(
-            f"partition of [{_shown(lo)}, {_shown(hi)}] by gcd with {_shown(n)} came to {_shown(total)},"
-            f" not {_shown(hi - lo + 1)}"
+            f"partition of [{shown(lo)}, {shown(hi)}] by gcd with {shown(n)} came to {shown(total)},"
+            f" not {shown(hi - lo + 1)}"
         )
     return total
 
@@ -536,7 +536,7 @@ def coprime_sum(n: int, lo: int, hi: int, strict: bool = True) -> int:
     _check_scan(lo, hi)
     if strict and lo + hi != n:
         raise PreconditionError(
-            f"pairing k <-> n-k needs lo + hi = n; got {_shown(lo)} + {_shown(hi)} != {_shown(n)}"
+            f"pairing k <-> n-k needs lo + hi = n; got {shown(lo)} + {shown(hi)} != {shown(n)}"
         )
     gcd = math.gcd
     count = 0
@@ -547,6 +547,6 @@ def coprime_sum(n: int, lo: int, hi: int, strict: bool = True) -> int:
             total += k
     if strict and 2 * total != n * count:
         raise InvariantError(
-            f"paired sum broke: 2*{_shown(total)} != {_shown(n)}*{_shown(count)} on [{_shown(lo)}, {_shown(hi)}]"
+            f"paired sum broke: 2*{shown(total)} != {shown(n)}*{shown(count)} on [{shown(lo)}, {shown(hi)}]"
         )
     return total

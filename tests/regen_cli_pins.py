@@ -174,9 +174,9 @@ CORPUS += [
     (["eval", "-n", "1", "-a", "1", "-b", "4", "--mode", "float"], "tolerance-below-0"),
     # the golden net's failing report at (12, 30, 0), written to stdout
     (["verify", "--max-b", "12", "--max-n", "30", "--seed", "0"], "tolerance-below-0"),
-    (["sweep", "2", "20"], "sweep-kernel-plus-b-above-10"),
-    (["sweep", "2", "20", "--format", "json"], "sweep-kernel-plus-b-above-10"),
-    (["sweep", "2", "10"], "sweep-kernel-plus-b-above-10"),
+    (["sweep", "2", "20"], "kernel-plus-b-above-10"),
+    (["sweep", "2", "20", "--format", "json"], "kernel-plus-b-above-10"),
+    (["sweep", "2", "10"], "kernel-plus-b-above-10"),
     (["totient", "14", "1", "100", "--method", "all"], "mobius-plus-1-where-7-divides-n"),
     (["totient", "14", "1", "100", "--method", "mobius"], "mobius-plus-1-where-7-divides-n"),
     (["totient", "15", "1", "100", "--method", "all"], "mobius-plus-1-where-7-divides-n"),

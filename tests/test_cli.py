@@ -272,7 +272,7 @@ def test_verify_writes_its_report_when_a_self_check_breaks(tag_zero_as_plus, tmp
     code, out, err = run_cli("verify", "--max-b", "12", "--max-n", "30", "--seed", "0", "--report", str(path))
     assert (code, out) == (1, "")
     report = json.loads(path.read_text())
-    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["trichotomy-and-predicates"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["trichotomy-and-predicates", "sweep-closed-forms"]
     assert "[FAIL] core/trichotomy-and-predicates (32 cases)" in err
 
 

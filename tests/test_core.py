@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotsum import core
+from cotsum import core, exact
 from cotsum.core import (
     CotTag,
     CotSumValue,
@@ -213,6 +213,18 @@ def test_master_witness_boundary_count_matches_exact_layer():
                 continue
             w = master_witness(a, b)
             assert w.e1k == boundary_count(1, a, b, w.k).value, (a, b)
+
+
+def test_master_witness_reads_the_boundary_count_through_exact(monkeypatch):
+    # a fault patched into exact reaches the witness: for a = 4, b = 11 the
+    # witness is k = 9, inside [0, b-2], and its E(1, k) comes out b too large
+    boundary_value = exact._boundary_value
+    monkeypatch.setattr(exact, "_boundary_value", lambda na, b, k: boundary_value(na, b, k) + (b if b > 10 else 0))
+    w = master_witness(4, 11)
+    assert w.k == 9
+    assert w.s != eval_exact(1, 4, 11)
+    for a, b in [(5, 4), (2, 5), (1, 4), (7, 10)]:
+        assert master_witness(a, b).s == eval_exact(1, a, b), (a, b)
 
 
 def test_master_witness_rejects_when_no_k_exists():

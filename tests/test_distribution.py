@@ -66,7 +66,7 @@ MULTI_BLOCK_MODULI = (65542, 65537, 510510)
 
 
 def test_sweep_calls_kernel_and_tag_once_per_coprime_residue(monkeypatch):
-    kernel, tag = distribution._kernel, distribution._tag
+    kernel, tag = core._kernel, core._tag
     residues = []
     tags = [0]
 
@@ -78,8 +78,8 @@ def test_sweep_calls_kernel_and_tag_once_per_coprime_residue(monkeypatch):
         tags[0] += 1
         return tag(num, den, b)
 
-    monkeypatch.setattr(distribution, "_kernel", counting_kernel)
-    monkeypatch.setattr(distribution, "_tag", counting_tag)
+    monkeypatch.setattr(core, "_kernel", counting_kernel)
+    monkeypatch.setattr(core, "_tag", counting_tag)
     for b in (2, 4, 5, 12, 97, 210) + MULTI_BLOCK_MODULI:
         residues.clear()
         tags[0] = 0
@@ -106,8 +106,8 @@ def test_sweep_memory_stays_within_a_block():
 
 
 def test_sweep_reads_the_tag_binding(monkeypatch):
-    tag = distribution._tag
-    monkeypatch.setattr(distribution, "_tag", lambda num, den, b: 3 if b > 10 else tag(num, den, b))
+    tag = core._tag
+    monkeypatch.setattr(core, "_tag", lambda num, den, b: 3 if b > 10 else tag(num, den, b))
     assert sweep(10).consistent
     for b in (11, 12, 97):
         r = sweep(b)

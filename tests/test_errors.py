@@ -248,7 +248,7 @@ def test_cot_cos_power_sum_takes_q_up_to_2_to_the_53():
 # CPython will not turn an int of more than 4,300 digits into text: str and
 # repr raise a ValueError naming no argument ("Exceeds the limit ..."), so a
 # message that printed the caller's number that way changed kind and lost
-# its argument. Every message prints it through errors._shown, which names
+# its argument. Every message prints it through errors.shown, which names
 # such a number by its size in bits.
 _HUGE = 10**5000
 _BITS = "16610-bit"

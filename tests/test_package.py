@@ -1,6 +1,9 @@
-"""The package surface and the import graph: lazy names, and each CLI
-subcommand loading only the layers it runs (checked in fresh interpreters)."""
+"""The package surface and the import graph: lazy names, no module binding a
+sibling's private name, and each CLI subcommand loading only the layers it
+runs (checked in fresh interpreters)."""
 
+import ast
+import pathlib
 import sys
 
 import pytest
@@ -55,6 +58,20 @@ PUBLIC = [
     "tol",
     "__version__",
 ]
+
+
+def test_no_module_binds_a_siblings_private_name():
+    # a private name is read through its module at call time, so a patch of
+    # the defining module (a golden-net mutant, say) reaches every caller
+    bound = [
+        (path.name, alias.name)
+        for path in sorted(pathlib.Path(cotsum.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert bound == []
 
 
 def test_all_is_pinned():

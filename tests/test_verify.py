@@ -2,8 +2,10 @@
 and a golden net of whole-report digests, passing and under mutants."""
 
 import hashlib
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 import time
 from dataclasses import replace
@@ -12,6 +14,7 @@ from math import gcd
 
 import pytest
 
+import cotsum
 from cotsum import core, distribution, exact, numeric, totient, verify
 from cotsum.verify import _randint, report_text, run_checks
 
@@ -156,10 +159,11 @@ def test_a_library_invariant_error_is_a_failing_check(monkeypatch):
     monkeypatch.setattr(module, attr, make(getattr(module, attr)))
     report = run_checks(max_b=11, max_n=1)
     failing = [c for c in report["checks"] if not c["passed"]]
-    assert failing == [{
+    assert [c["name"] for c in failing] == ["trichotomy-and-predicates", "sweep-closed-forms"]
+    assert failing[0] == {
         "module": "core", "name": "trichotomy-and-predicates", "passed": False, "cases": 32,
         "detail": "tag PlusHalfB inconsistent with value 0", "counterexample": None,
-    }]
+    }
     assert report["summary"]["checks"] == 21
 
 
@@ -392,21 +396,18 @@ def _coprime_sum_drops_lo(coprime_sum):
 
 
 # id: (module, attribute, mutant of the original, report sha256 at (12, 30, 0),
-# the failing checks with their case counts at the first failure).
+# the failing checks with their case counts at the first failure). Each
+# patches the module that defines its name, and no module binds a sibling's
+# private name, so the one mutant reaches every caller.
 # tests/regen_cli_pins.py applies these same mutants by id.
 MUTANTS = {
     "kernel-plus-b-above-10": (
-        core, "_kernel", _kernel_plus_b_above_10, "76d1b9f47b8525609e608c225c19cd6704b19e9bdbc71114636014f3c89d6e59",
-        [("trichotomy-and-predicates", 30), ("magnitude-bound", 143), ("master-congruence-witness", 88), ("float-oracle-agreement", 487)],
-    ),
-    # the sweep reads core._kernel through its own binding
-    "sweep-kernel-plus-b-above-10": (
-        distribution, "_kernel", _kernel_plus_b_above_10, "3c331b2037e5f367fbb2305023f4611cc5abe304ee103e719d67c930ef59a063",
-        [("sweep-closed-forms", 9)],
+        core, "_kernel", _kernel_plus_b_above_10, "38212aeaa829f9f4e8a9e6c4359d524e2b9b8035d01f95a529d1e940ddb227ea",
+        [("trichotomy-and-predicates", 30), ("magnitude-bound", 143), ("master-congruence-witness", 88), ("float-oracle-agreement", 487), ("sweep-closed-forms", 9)],
     ),
     "tag-zero-as-plus-above-10": (
-        core, "_tag", _tag_zero_as_plus_above_10, "0ffef10bca1273bb408ad6cfa51513518bb14d0030045c19d7a4906bf886dba7",
-        [("trichotomy-and-predicates", 32)],
+        core, "_tag", _tag_zero_as_plus_above_10, "1aaf366c0f5389a78eae5563e4a5459c3a372590aba576e9a2e24ce841a5d341",
+        [("trichotomy-and-predicates", 32), ("sweep-closed-forms", 9)],
     ),
     "boundary-plus-b-at-k-b-plus-1": (
         exact, "_boundary_value", _boundary_plus_b_at_k_b_plus_1, "05d95ef19383fa47d554c6e962a2fc98c4c08f76efdf97404bc984300d711571",
@@ -451,6 +452,19 @@ MUTANTS = {
 }
 
 
+def test_each_mutant_patches_the_one_binding_of_its_target():
+    # a second binding (`_kernel = core._kernel`, `from .core import
+    # eval_exact`) would keep its callers on the original, out of the mutant's
+    # reach; the package's lazy re-exports serve users, not callers inside it
+    modules = [importlib.import_module(f"cotsum.{m.name}")
+               for m in pkgutil.iter_modules(cotsum.__path__) if m.name != "__main__"]
+    for module, attr, *_ in MUTANTS.values():
+        target = getattr(module, attr)
+        assert target.__module__ == module.__name__, (module.__name__, attr)
+        bound = [(m.__name__, name) for m in modules for name, value in vars(m).items() if value is target]
+        assert bound == [(module.__name__, attr)]
+
+
 @pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_failing_report_bytes_pinned_under_mutant(mutant, workers, monkeypatch):
@@ -467,10 +481,9 @@ def test_failing_report_bytes_pinned_under_mutant(mutant, workers, monkeypatch):
 
 @pytest.mark.parametrize("mutant", sorted(m for m in MUTANTS if MUTANTS[m][1] in ("_kernel", "_tag")))
 def test_sweep_rows_under_kernel_and_tag_mutants_at_workers_2(mutant, monkeypatch):
-    # each mutant is applied to the sweep's own binding of what it patches
-    attr, make = MUTANTS[mutant][1:3]
+    module, attr, make = MUTANTS[mutant][:3]
     clean = distribution.sweep_range(2, 60)
-    monkeypatch.setattr(distribution, attr, make(getattr(distribution, attr)))
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
     monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
     serial = distribution.sweep_range(2, 60)
     assert serial != clean
